@@ -547,6 +547,107 @@ let fftpath_tests =
           [ 4; 16; 64 ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Parity pins                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Fixed-seed MD5 digests of the IEEE bit patterns of whole traces, and
+   of the bits the TRNG models sample from them.  Each pins one
+   whole-trace entry point to a single realization, so any change to
+   how periods are synthesized — or any dependence on the domain count
+   (@par-smoke runs this suite at PTRNG_DOMAINS=1 and =4) — shows up as
+   a digest mismatch. *)
+
+let digest_floats traces =
+  let b = Buffer.create 65536 in
+  List.iter
+    (Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)))
+    traces;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let digest_bits bs =
+  let module B = Ptrng_trng.Bitstream in
+  Digest.to_hex
+    (Digest.string
+       (String.init (B.length bs) (fun i -> if B.get bs i then '1' else '0')))
+
+let pin name expected digest =
+  Testkit.case name (fun () ->
+      Alcotest.(check string) "digest" expected (digest ()))
+
+let periods_pin name cfg ~seed ~n expected =
+  pin
+    (Printf.sprintf "periods %s, n = %d" name n)
+    expected
+    (fun () -> digest_floats [ Osc.periods (Testkit.rng ~seed ()) cfg ~n ])
+
+let parity_tests =
+  let thermal_only =
+    Osc.config ~f0:Pair.paper_f0
+      ~phase:{ Pair.paper_relative with Psd_model.b_fl = 0.0 } ()
+  in
+  let flicker_only =
+    Osc.config ~f0:Pair.paper_f0
+      ~phase:{ Pair.paper_relative with Psd_model.b_th = 0.0 } ()
+  in
+  let random_walk =
+    Osc.config ~rw_hm2:1e-22 ~f0:Pair.paper_f0 ~phase:Pair.paper_relative ()
+  in
+  (* name, config, seed, digest at n = 2^14, digest at n = 12345 *)
+  let table =
+    [
+      ("spectral", paper_cfg `Spectral, 500L,
+       "7a814dc09ca45b274cf8450e9faecd42", "d5256d8547b4ac5107a3064ad0ea12b9");
+      ("none", paper_cfg `None, 501L,
+       "b3f96eb90f35fbe0dfee79e2ebb421d0", "7a31857b57dd862db95895f7f722413d");
+      ("thermal-only", thermal_only, 502L,
+       "ffef46d03a8cf3a95b97c9862844df2d", "92088f315e85d0f11ffeea283ce6e9a3");
+      ("flicker-only", flicker_only, 503L,
+       "214d4c66b410579ed9ba1f1b41591607", "79376a8658a693ab68f65e2d14cbbcaf");
+      ("random-walk", random_walk, 504L,
+       "214648974a1cf4a52c4ba1445d7dd6fb", "04d12a45fd0b420497b1e2c0629eab85");
+    ]
+  in
+  List.concat_map
+    (fun (name, cfg, seed, pow2, other) ->
+      [
+        periods_pin name cfg ~seed ~n:16384 pow2;
+        periods_pin name cfg ~seed ~n:12345 other;
+      ])
+    table
+  @ [
+      pin "Pair.simulate" "b269910f8e96c3b371e9f87cdac117bd" (fun () ->
+          let p1, p2 =
+            Pair.simulate (Testkit.rng ~seed:510L ()) (Pair.paper_pair ())
+              ~n:10000
+          in
+          digest_floats [ p1; p2 ]);
+      pin "Ero_trng.generate" "f56eb279f0dc52875d10840fd27718dc" (fun () ->
+          let cfg =
+            Ptrng_trng.Ero_trng.config ~divisor:100 (Pair.paper_pair ())
+          in
+          digest_bits
+            (Ptrng_trng.Ero_trng.generate (Testkit.rng ~seed:511L ()) cfg
+               ~bits:256));
+      pin "Coherent.generate" "1da184574e4f0567f1646ffde298bff8" (fun () ->
+          let cfg = Ptrng_trng.Coherent.config ~f0:100e6 ~km:17 ~kd:16 () in
+          digest_bits
+            (Ptrng_trng.Coherent.generate (Testkit.rng ~seed:512L ()) cfg
+               ~bits:256));
+      pin "Multi_ring.generate" "ac69737124b92a57bb224247a52bc326" (fun () ->
+          let cfg =
+            Ptrng_trng.Multi_ring.config ~f0:100e6 ~rings:3 ~divisor:50 ()
+          in
+          digest_bits
+            (Ptrng_trng.Multi_ring.generate (Testkit.rng ~seed:513L ()) cfg
+               ~bits:256));
+      pin "Restart.ensemble" "8bd47b4bb3f0062bb64384e3cd4e6414" (fun () ->
+          digest_floats
+            (Array.to_list
+               (Ptrng_osc.Restart.ensemble (Testkit.rng ~seed:514L ())
+                  (paper_cfg `Spectral) ~restarts:16 ~n:2048)));
+    ]
+
 let () =
   Alcotest.run "streaming"
     [
@@ -558,4 +659,5 @@ let () =
       ("fft-path", fftpath_tests);
       ("oscillator", oscillator_tests);
       ("accumulators", acc_tests);
+      ("parity", parity_tests);
     ]
