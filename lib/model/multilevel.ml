@@ -19,14 +19,10 @@ module Span = Ptrng_telemetry.Span
    for the jitter ring), instead of five trace-length arrays. *)
 let stream_chunk = 8192
 
-let characterize ?domains ?(n_periods = 1 lsl 20) ?n_grid ~rng pair =
+let characterize ?(n_periods = 1 lsl 20) ?n_grid ~rng pair =
   if n_periods < 1024 then invalid_arg "Multilevel.characterize: n_periods < 1024";
   Span.with_ ~name:"model.characterize" @@ fun () ->
   Span.set_attr "n_periods" (Ptrng_telemetry.Json.Int n_periods);
-  (* The streamed pipeline is sequential and domain-count independent
-     by construction; the parameter is kept so pipeline call sites read
-     the same at every level. *)
-  let (_ : int option) = domains in
   let f0 = nominal_f0 pair in
   let ns =
     match n_grid with
@@ -35,12 +31,9 @@ let characterize ?domains ?(n_periods = 1 lsl 20) ?n_grid ~rng pair =
   in
   let module FA = Float.Array in
   let module Vc = Ptrng_measure.Variance_curve in
-  let st =
-    (* flicker_block = n_periods keeps the streamed flicker bit-identical
-       to the batch synthesis (one spectral block spanning the trace). *)
-    Span.with_ ~name:"simulate" (fun () ->
-        Ptrng_osc.Pair.stream ~flicker_block:n_periods rng pair)
-  in
+  (* flicker_block = n_periods: one spectral block spans the trace, the
+     same rule as Pair.simulate. *)
+  let st = Ptrng_osc.Pair.stream ~flicker_block:n_periods rng pair in
   let jitter_acc = Vc.Jitter_acc.create ~f0 ns in
   let counter_acc = Vc.Counter_acc.create ~f0 ~ns in
   let p1 = FA.create stream_chunk in

@@ -26,16 +26,15 @@ type analysis = {
 }
 
 val characterize :
-  ?domains:int ->
   ?n_periods:int ->
   ?n_grid:int array ->
   rng:Ptrng_prng.Rng.t ->
   Ptrng_osc.Pair.t ->
   analysis
 (** Run the full pipeline.  Defaults: [n_periods = 2^20] simulated
-    periods, octave N grid from 4 to [n_periods / 32].  Simulation and
-    curve estimation run over a {!Ptrng_exec.Pool}; results are
-    bit-identical for every [?domains] value.
+    periods, octave N grid from 4 to [n_periods / 32].  The pair is
+    streamed chunk by chunk through the variance-curve accumulators on
+    the calling domain, so results do not depend on the domain count.
     @raise Invalid_argument if [n_periods < 1024]. *)
 
 val monte_carlo :

@@ -14,30 +14,6 @@ let coefficients ~alpha n =
   done;
   h
 
-let generate_block ?domains rng ~alpha ~sigma_w n =
-  if n <= 0 then invalid_arg "Kasdin.generate_block: n <= 0";
-  Tm.Counter.add samples_total n;
-  (* The white input is chunked over the pool (one child stream per
-     fixed chunk); the fractional-integration filter itself is one FFT
-     convolution on the calling domain. *)
-  let white =
-    Ptrng_exec.Pool.parallel_init_floats ?domains ~rng
-      ~fill:(fun child ~offset ~len out ->
-        let g = Ptrng_prng.Gaussian.create child in
-        for i = offset to offset + len - 1 do
-          out.(i) <- sigma_w *. Ptrng_prng.Gaussian.draw g
-        done)
-      n
-  in
-  let h = coefficients ~alpha n in
-  Ptrng_signal.Filter.fir_fft ~h white
-
-let flicker_fm_block ?domains rng ~hm1 ~fs n =
-  if hm1 < 0.0 then invalid_arg "Kasdin.flicker_fm_block: negative hm1";
-  if fs <= 0.0 then invalid_arg "Kasdin.flicker_fm_block: fs <= 0";
-  let sigma_w = sqrt (Float.pi *. hm1) in
-  generate_block ?domains rng ~alpha:1.0 ~sigma_w n
-
 type stream = {
   g : Ptrng_prng.Gaussian.t;
   sigma_w : float;

@@ -17,28 +17,6 @@ val coefficients : alpha:float -> int -> float array
 (** First [n] impulse-response coefficients h_0 .. h_{n-1}.
     @raise Invalid_argument if [n <= 0]. *)
 
-val generate_block :
-  ?domains:int ->
-  Ptrng_prng.Rng.t ->
-  alpha:float ->
-  sigma_w:float ->
-  int ->
-  float array
-[@@deprecated "allocates the whole trace; use Source.fill with Source.kasdin"]
-(** Exact MA filtering of [n] white samples with a full-length
-    coefficient array (FFT convolution): the highest-fidelity spectrum
-    down to the lowest representable frequency.  Takes the [Rng.t]
-    explicitly (no hidden generator state); the white input is chunked
-    over a {!Ptrng_exec.Pool}, bit-identical for every [?domains].
-    @deprecated Allocates the whole trace: stream through
-    {!Source.fill} with a {!Source.kasdin} config (a truncated-window
-    overlap-add convolution; with [taps >= n] it matches this function
-    to FFT rounding). *)
-
-val flicker_fm_block :
-  ?domains:int -> Ptrng_prng.Rng.t -> hm1:float -> fs:float -> int -> float array
-(** Flicker (alpha = 1) block calibrated to one-sided level [hm1]. *)
-
 type stream
 (** Streaming generator with a truncated coefficient window. *)
 

@@ -3,15 +3,13 @@
 
    Every source derives its whole stream from a single root draw taken
    from the creating generator (exactly one bits64, the same
-   consumption as the batch generators and Pool.parallel_init_floats),
-   so reset/skip are pure re-derivations and a stream is bit-identical
-   however the fill calls partition it:
+   consumption as Pool.parallel_init_floats), so reset/skip are pure
+   re-derivations and a stream is bit-identical however the fill calls
+   partition it:
 
    - White: one Gaussian child stream per Pool.default_chunk-aligned
      chunk of the output index space — the same chunk/seed alignment as
-     Pool.parallel_init_floats, so a streamed white series equals the
-     batch parallel one bit for bit, and [skip] over whole chunks is
-     O(1).
+     Pool.parallel_init_floats, so [skip] over whole chunks is O(1).
    - Voss: the octave ladder is a sequential recurrence seeded from
      child stream 0 of the root.
    - Kasdin: the chunk-aligned white input stream is pushed through a
@@ -52,9 +50,8 @@ let kasdin ?(taps = default_kasdin_taps) ?(block = Ptrng_exec.Pool.default_chunk
 
 let flicker_fm ?taps ?block ~hm1 () =
   if hm1 < 0.0 then invalid_arg "Source.flicker_fm: negative hm1";
-  (* Same calibration as Kasdin.flicker_fm_block: for alpha = 1 the
-     driving variance sigma_w^2 = pi h_{-1} puts the one-sided level at
-     h_{-1}/f, independent of the sampling rate. *)
+  (* For alpha = 1 the driving variance sigma_w^2 = pi h_{-1} puts the
+     one-sided level at h_{-1}/f, independent of the sampling rate. *)
   kasdin ?taps ?block ~alpha:1.0 ~sigma_w:(sqrt (Float.pi *. hm1)) ()
 
 let voss ?(octaves = 20) ~sigma () =

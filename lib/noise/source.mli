@@ -4,10 +4,9 @@
     asked repeatedly to {!fill} caller-owned [Float.Array.t] buffers.
     The stream a source produces is a pure function of the single root
     draw taken at creation: it does not depend on how fills partition
-    it, so chunked streaming, batch generation and parallel chunked
-    generation (PR 2's [Pool.parallel_init_floats] seed-derivation
-    scheme, whose chunk boundaries this module reuses) all agree —
-    white streams bit-identically, filtered streams to rounding.
+    it (white streams bit-identically, filtered streams to rounding).
+    White chunks reuse the [Pool.parallel_init_floats] seed-derivation
+    scheme and its chunk boundaries.
 
     Buffer-ownership rule: the caller owns every buffer passed to
     {!fill}/{!fill_range}; the source never retains a reference to it.
@@ -15,17 +14,17 @@
     {!create} and reused for the life of the source.  See
     docs/STREAMING.md for the full contract.
 
-    The legacy whole-array entry points ([White.generate],
-    [Kasdin.generate_block], [Voss.generate]/[generate_blocks]) remain
-    as deprecated wrappers over the same underlying streams. *)
+    This is the only noise synthesis path: a whole trace is a stream
+    read in one pass. *)
 
 type config
 (** Which process to synthesize, with its backend-specific tuning. *)
 
 val white : sigma:float -> config
 (** IID N(0, sigma^2) samples, one Gaussian child stream per
-    [Pool.default_chunk]-aligned chunk — bit-identical to the batch
-    parallel white path for the same creating generator.
+    [Pool.default_chunk]-aligned chunk — bit-identical to
+    [Pool.parallel_init_floats] drawing [sigma *. Gaussian.draw] per
+    index from the same creating generator.
     @raise Invalid_argument if [sigma < 0]. *)
 
 val kasdin :
@@ -42,8 +41,8 @@ val kasdin :
 val flicker_fm :
   ?taps:int -> ?block:int -> hm1:float -> unit -> config
 (** {!kasdin} with [alpha = 1] calibrated so the one-sided
-    fractional-frequency PSD is [h_{-1}/f] (the [Kasdin.flicker_fm_block]
-    calibration, sampling-rate independent).
+    fractional-frequency PSD is [h_{-1}/f], sampling-rate independent
+    (driving variance [sigma_w^2 = pi h_{-1}]).
     @raise Invalid_argument if [hm1 < 0]. *)
 
 val voss : ?octaves:int -> sigma:float -> unit -> config
@@ -69,9 +68,7 @@ type t
 
 val create : config -> Ptrng_prng.Rng.t -> t
 (** [create config rng] builds a source, consuming exactly one root
-    draw ([bits64]) from [rng] — the same generator advancement as the
-    batch entry points, so batch and streamed pipelines can share a
-    seeding discipline. *)
+    draw ([bits64]) from [rng]. *)
 
 val fill : t -> Float.Array.t -> unit
 (** [fill t buf] overwrites all of [buf] with the next

@@ -34,15 +34,4 @@ let[@inline] next t =
   done;
   !sum
 
-let generate t n = Array.init n (fun _ -> next t)
-
-let generate_blocks ?domains rng ~octaves ~blocks n =
-  if blocks < 0 then invalid_arg "Voss.generate_blocks: blocks < 0";
-  (* The octave ladder is a sequential recurrence, so parallelism lives
-     at the block level: one independent generator (own child stream)
-     per block. *)
-  Ptrng_exec.Pool.parallel_map_streams ?domains ~rng
-    (fun _ child -> generate (create child ~octaves) n)
-    blocks
-
 let level_hm1 ~sigma = sigma *. sigma /. log 2.0

@@ -16,28 +16,6 @@ val create : Ptrng_prng.Rng.t -> octaves:int -> t
 val next : t -> float
 (** Next sample; the sum of the current source values. *)
 
-val generate : t -> int -> float array
-[@@deprecated "allocates the whole trace; use Source.fill with Source.voss"]
-(** [generate t n] is the next [n] samples.
-    @raise Invalid_argument if [n < 0].
-    @deprecated Allocates the whole trace: stream through
-    {!Source.fill} with a {!Source.voss} config instead. *)
-
-val generate_blocks :
-  ?domains:int ->
-  Ptrng_prng.Rng.t ->
-  octaves:int ->
-  blocks:int ->
-  int ->
-  float array array
-[@@deprecated "allocates every block; use one Source.fill stream per block"]
-(** [generate_blocks rng ~octaves ~blocks n] produces [blocks]
-    independent pink blocks of [n] samples, one child stream per block,
-    distributed over a {!Ptrng_exec.Pool}; bit-identical for every
-    [?domains].  @raise Invalid_argument if [blocks < 0].
-    @deprecated Allocates every block: create one {!Source.voss} stream
-    per block and {!Source.fill} a reused buffer instead. *)
-
 val level_hm1 : sigma:float -> float
 (** Log-averaged one-sided flicker level of the generator when each
     source has standard deviation [sigma].  A source held for [2^j]

@@ -7,7 +7,3 @@ let level_of_variance ~variance ~fs =
   if variance < 0.0 then invalid_arg "White.level_of_variance: negative variance";
   if fs <= 0.0 then invalid_arg "White.level_of_variance: fs <= 0";
   2.0 *. variance /. fs
-
-let generate g ~level ~fs n =
-  let sigma = sqrt (variance_of_level ~level ~fs) in
-  Array.init n (fun _ -> sigma *. Ptrng_prng.Gaussian.draw g)

@@ -9,11 +9,3 @@ val variance_of_level : level:float -> fs:float -> float
 
 val level_of_variance : variance:float -> fs:float -> float
 (** One-sided PSD level of a white sequence with [variance]. *)
-
-val generate : Ptrng_prng.Gaussian.t -> level:float -> fs:float -> int -> float array
-[@@deprecated "allocates the whole trace; use Source.fill with Source.white"]
-(** [generate g ~level ~fs n] draws [n] samples of white noise whose
-    one-sided PSD is [level]. @raise Invalid_argument for negative
-    [level] or non-positive [fs].
-    @deprecated Allocates the whole trace: stream through
-    {!Source.fill} with a {!Source.white} config instead. *)

@@ -15,76 +15,6 @@ let config ?(flicker_generator = `Spectral) ?(rw_hm2 = 0.0) ~f0 ~phase () =
 let thermal_sigma cfg =
   sqrt (cfg.phase.Ptrng_noise.Psd_model.b_th /. (cfg.f0 ** 3.0))
 
-(* Flicker fractional-frequency samples at rate f0 with one-sided level
-   h_{-1} = 2 b_fl / f0^2, produced by the selected generator. *)
-let flicker_samples ?domains rng cfg n =
-  let hm1 = 2.0 *. cfg.phase.Ptrng_noise.Psd_model.b_fl /. (cfg.f0 *. cfg.f0) in
-  if hm1 = 0.0 then None
-  else
-    match cfg.flicker_generator with
-    | `None -> None
-    | `Spectral ->
-      let m = Ptrng_signal.Fft.next_pow2 n in
-      let model = { Ptrng_noise.Psd_model.h0 = 0.0; hm1; hm2 = 0.0 } in
-      let y =
-        Ptrng_noise.Spectral_synth.generate_frac_freq ?domains rng ~model ~fs:cfg.f0 m
-      in
-      Some (if m = n then y else Array.sub y 0 n)
-    | `Kasdin ->
-      Some (Ptrng_noise.Kasdin.flicker_fm_block ?domains rng ~hm1 ~fs:cfg.f0 n)
-    | `Voss ->
-      (* Per-source sigma inverts Voss.level_hm1 (= sigma^2 / ln 2);
-         octaves are chosen so the slowest source spans the block. *)
-      let sigma = sqrt (hm1 *. log 2.0) in
-      let octaves =
-        let rec count o span = if span >= n || o >= 40 then o else count (o + 1) (span * 2) in
-        count 1 1
-      in
-      let v = Ptrng_noise.Voss.create rng ~octaves in
-      (* The batch path intentionally keeps the deprecated whole-array
-         generator: it is the reference the streamed path is tested
-         against. *)
-      Some
-        (Array.map (fun s -> sigma *. s) (Ptrng_noise.Voss.generate v n))
-      [@alert "-deprecated"]
-
-let periods ?domains rng cfg ~n =
-  if n <= 0 then invalid_arg "Oscillator.periods: n <= 0";
-  let t0 = 1.0 /. cfg.f0 in
-  let sigma_th = thermal_sigma cfg in
-  let out =
-    if sigma_th > 0.0 then
-      (* Thermal jitter is white: chunked child streams, so the trace
-         is bit-identical for every domain count. *)
-      Ptrng_exec.Pool.parallel_init_floats ?domains ~rng
-        ~fill:(fun child ~offset ~len out ->
-          let g = Ptrng_prng.Gaussian.create child in
-          for k = offset to offset + len - 1 do
-            out.(k) <- t0 +. (sigma_th *. Ptrng_prng.Gaussian.draw g)
-          done)
-        n
-    else Array.make n t0
-  in
-  (match flicker_samples ?domains rng cfg n with
-  | None -> ()
-  | Some y ->
-    for k = 0 to n - 1 do
-      out.(k) <- out.(k) +. (t0 *. y.(k))
-    done);
-  if cfg.rw_hm2 > 0.0 then begin
-    (* Random-walk FM (aging): y integrates white steps whose variance
-       follows from the one-sided level, sigma_w^2 = 2 pi^2 h_{-2}/fs
-       (exact in the time domain, no circularity). *)
-    let g = Ptrng_prng.Gaussian.create rng in
-    let sigma_w = sqrt (2.0 *. Float.pi *. Float.pi *. cfg.rw_hm2 /. cfg.f0) in
-    let y = ref 0.0 in
-    for k = 0 to n - 1 do
-      y := !y +. (sigma_w *. Ptrng_prng.Gaussian.draw g);
-      out.(k) <- out.(k) +. (t0 *. !y)
-    done
-  end;
-  out
-
 (* ------------------------------------------------------------------ *)
 (* Streaming simulation                                                *)
 (* ------------------------------------------------------------------ *)
@@ -109,10 +39,9 @@ type source = {
 
 let default_flicker_block = 1 lsl 16
 
-(* Creation draws from [rng] in the batch path's order — thermal root,
-   then flicker root, then the random-walk sampler — so for [`Spectral]
-   (and [`None]) flicker a source replays {!periods} bit for bit when
-   [flicker_block] is [next_pow2 n] of the batch length. *)
+(* Creation draws from [rng] in a fixed order — thermal root, then
+   flicker root, then the random-walk sampler — which every seeded
+   whole trace ({!periods}, Pair.simulate) is pinned to. *)
 let source ?(flicker_block = default_flicker_block) rng cfg =
   if flicker_block <= 0 then invalid_arg "Oscillator.source: flicker_block <= 0";
   let t0 = 1.0 /. cfg.f0 in
@@ -121,6 +50,8 @@ let source ?(flicker_block = default_flicker_block) rng cfg =
     if sigma_th > 0.0 then Some (Source.create (Source.white ~sigma:sigma_th) rng)
     else None
   in
+  (* Flicker fractional frequency at rate f0 with one-sided level
+     h_{-1} = 2 b_fl / f0^2, from the selected generator. *)
   let hm1 = 2.0 *. cfg.phase.Ptrng_noise.Psd_model.b_fl /. (cfg.f0 *. cfg.f0) in
   let flicker =
     if hm1 <= 0.0 then None
@@ -137,6 +68,8 @@ let source ?(flicker_block = default_flicker_block) rng cfg =
         let taps = min (Ptrng_signal.Fft.next_pow2 flicker_block) (1 lsl 15) in
         Some (Source.create (Source.flicker_fm ~taps ~hm1 ()) rng)
       | `Voss ->
+        (* Per-source sigma inverts Voss.level_hm1 (= sigma^2 / ln 2);
+           octaves are chosen so the slowest source spans the block. *)
         let sigma = sqrt (hm1 *. log 2.0) in
         let octaves =
           let rec count o span =
@@ -146,6 +79,9 @@ let source ?(flicker_block = default_flicker_block) rng cfg =
         in
         Some (Source.create (Source.voss ~octaves ~sigma ()) rng)
   in
+  (* Random-walk FM (aging): y integrates white steps whose variance
+     follows from the one-sided level, sigma_w^2 = 2 pi^2 h_{-2}/fs
+     (exact in the time domain, no circularity). *)
   let rw =
     if cfg.rw_hm2 > 0.0 then Some (Ptrng_prng.Gaussian.create rng) else None
   in
@@ -230,6 +166,25 @@ let fill_components src ~len ~thermal ~flicker =
 
 let source_position src = src.s_pos
 
+(* A whole trace is the stream read with [flicker_block = n] (one
+   spectral block spanning the trace), staged through a fixed segment
+   so no second trace-length buffer is built. *)
+let periods rng cfg ~n =
+  if n <= 0 then invalid_arg "Oscillator.periods: n <= 0";
+  let src = source ~flicker_block:n rng cfg in
+  let out = Array.make n 0.0 in
+  let seg = FA.create (min n flicker_seg) in
+  let pos = ref 0 in
+  while !pos < n do
+    let len = min (FA.length seg) (n - !pos) in
+    fill_periods_n src ~len seg;
+    for i = 0 to len - 1 do
+      out.(!pos + i) <- FA.unsafe_get seg i
+    done;
+    pos := !pos + len
+  done;
+  out
+
 let source_skip src n =
   if n < 0 then invalid_arg "Oscillator.source_skip: n < 0";
   Option.iter (fun th -> Source.skip th n) src.thermal;
@@ -246,8 +201,8 @@ let source_skip src n =
   src.s_pos <- src.s_pos + n
 
 let source_reset src =
-  (* The random-walk sampler draws from the creating generator itself
-     (batch parity), so its stream cannot be re-derived. *)
+  (* The random-walk sampler draws from the creating generator itself,
+     so its stream cannot be re-derived. *)
   if Option.is_some src.rw then
     invalid_arg "Oscillator.source_reset: random-walk FM sources cannot rewind";
   Option.iter Source.reset src.thermal;

@@ -46,11 +46,11 @@ val config :
 val thermal_sigma : config -> float
 (** Per-period thermal jitter sigma = sqrt (b_th / f0^3), seconds. *)
 
-val periods : ?domains:int -> Ptrng_prng.Rng.t -> config -> n:int -> float array
+val periods : Ptrng_prng.Rng.t -> config -> n:int -> float array
 (** [periods rng cfg ~n] simulates [n] consecutive oscillation periods
-    (seconds).  Thermal jitter and spectral flicker synthesis run over
-    a {!Ptrng_exec.Pool}; the trace is bit-identical for every
-    [?domains] value. *)
+    (seconds): the whole {!source} stream with [flicker_block = n], read
+    in one pass.  The trace does not depend on the domain count.
+    @raise Invalid_argument if [n <= 0]. *)
 
 type source
 (** A streaming period generator: thermal, flicker and random-walk
@@ -59,12 +59,13 @@ type source
 
 val source : ?flicker_block:int -> Ptrng_prng.Rng.t -> config -> source
 (** [source rng cfg] builds a streaming simulator drawing its roots
-    from [rng] in the same order as {!periods}, so with [`Spectral] (or
-    [`None]) flicker and [flicker_block = n] the stream replays
-    [periods rng cfg ~n] bit for bit.  [flicker_block] (default 2^16,
+    from [rng]: thermal first, then flicker, then the random-walk
+    sampler.  {!periods} is this stream read whole with
+    [flicker_block = n].  [flicker_block] (default 2^16,
     rounded up to a power of two) bounds the flicker correlation the
     stream reproduces — statistics probing longer lags need a larger
-    block.  [`Voss] octaves are likewise sized from [flicker_block].
+    block.  [`Kasdin] uses [flicker_block] filter taps, capped at 2^15;
+    [`Voss] octaves are likewise sized from [flicker_block].
     @raise Invalid_argument if [flicker_block <= 0]. *)
 
 val fill_periods : source -> ?len:int -> Float.Array.t -> unit

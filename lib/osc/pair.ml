@@ -23,13 +23,6 @@ let paper_relative =
 
 let paper_pair () = of_relative ~f0:paper_f0 ~relative:paper_relative ()
 
-let simulate ?domains rng pair ~n =
-  let rng1 = Ptrng_prng.Rng.split rng in
-  let rng2 = Ptrng_prng.Rng.split rng in
-  let p1 = Oscillator.periods ?domains rng1 pair.osc1 ~n in
-  let p2 = Oscillator.periods ?domains rng2 pair.osc2 ~n in
-  (p1, p2)
-
 module FA = Float.Array
 module Scenario = Ptrng_device.Scenario
 
@@ -53,8 +46,8 @@ type stream = {
 }
 
 let stream ?flicker_block ?scenario rng pair =
-  (* Same substream discipline as [simulate]: two splits, one per
-     oscillator, so a stream replays the batch traces bit for bit. *)
+  (* Two splits, one per oscillator: each ring draws from its own
+     substream. *)
   let rng1 = Ptrng_prng.Rng.split rng in
   let rng2 = Ptrng_prng.Rng.split rng in
   let scratch () =
@@ -160,3 +153,22 @@ let fill st ~p1 ~p2 ~len =
     if len < 0 || len > FA.length p1 || len > FA.length p2 then
       invalid_arg "Pair.fill: bad len";
     fill_scenario st scen ~p1 ~p2 ~len
+
+(* A whole trace is the stream read with [flicker_block = n], staged
+   through fixed segments like Oscillator.periods. *)
+let simulate rng pair ~n =
+  if n <= 0 then invalid_arg "Pair.simulate: n <= 0";
+  let st = stream ~flicker_block:n rng pair in
+  let p1 = Array.make n 0.0 and p2 = Array.make n 0.0 in
+  let b1 = FA.create (min n sc_seg) and b2 = FA.create (min n sc_seg) in
+  let pos = ref 0 in
+  while !pos < n do
+    let len = min (FA.length b1) (n - !pos) in
+    fill st ~p1:b1 ~p2:b2 ~len;
+    for i = 0 to len - 1 do
+      p1.(!pos + i) <- FA.unsafe_get b1 i;
+      p2.(!pos + i) <- FA.unsafe_get b2 i
+    done;
+    pos := !pos + len
+  done;
+  (p1, p2)

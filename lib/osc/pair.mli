@@ -38,12 +38,12 @@ val paper_relative : Ptrng_noise.Psd_model.phase
 val paper_f0 : float
 (** 103 MHz. *)
 
-val simulate :
-  ?domains:int -> Ptrng_prng.Rng.t -> t -> n:int -> float array * float array
+val simulate : Ptrng_prng.Rng.t -> t -> n:int -> float array * float array
 (** [simulate rng pair ~n] returns [n] simulated periods of each
-    oscillator, drawn from independent substreams of [rng].  Each
-    oscillator's thermal and flicker synthesis runs over a
-    {!Ptrng_exec.Pool}; traces are bit-identical for every [?domains]. *)
+    oscillator, drawn from independent substreams of [rng]: the whole
+    {!stream} with [flicker_block = n], read in one pass.  The traces
+    do not depend on the domain count.
+    @raise Invalid_argument if [n <= 0]. *)
 
 type stream
 (** A streaming simulator of the pair, optionally driven by a
@@ -55,11 +55,11 @@ val stream :
   Ptrng_prng.Rng.t ->
   t ->
   stream
-(** [stream rng pair] is the streaming form of {!simulate}: the same
-    two generator splits, one {!Oscillator.source} per ring, so with
-    [`Spectral] flicker and [flicker_block = n] the chunk-wise fills
-    reproduce [simulate rng pair ~n] bit for bit while allocating
-    nothing per chunk.  See {!Oscillator.source} for [flicker_block].
+(** [stream rng pair] splits [rng] twice, one {!Oscillator.source}
+    per ring, and fills the two period streams chunk by chunk while
+    allocating nothing per chunk.  {!simulate} is this stream read
+    whole with [flicker_block = n].  See {!Oscillator.source} for
+    [flicker_block].
 
     With [?scenario] the stream re-derives the per-sample noise
     scaling from the schedule: b_th, b_fl and f0 multipliers rescale

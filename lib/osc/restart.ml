@@ -10,7 +10,7 @@ let ensemble ?domains rng cfg ~restarts ~n =
   in
   let transient =
     if cfg.Oscillator.phase.Ptrng_noise.Psd_model.b_fl > 0.0 then
-      Oscillator.periods ?domains (Ptrng_prng.Rng.split rng) flicker_cfg ~n
+      Oscillator.periods (Ptrng_prng.Rng.split rng) flicker_cfg ~n
     else Array.make n (1.0 /. cfg.Oscillator.f0)
   in
   let sigma_th = Oscillator.thermal_sigma cfg in

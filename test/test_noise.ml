@@ -1,8 +1,10 @@
-(* The legacy whole-array generators are the statistical references
-   here, so their deprecation alert is silenced for this file. *)
-[@@@ocaml.alert "-deprecated"]
-
 open Ptrng_noise
+
+(* [n] samples of a fresh streaming source as a plain array. *)
+let samples config rng n =
+  let buf = Float.Array.create n in
+  Source.fill (Source.create config rng) buf;
+  Array.init n (Float.Array.get buf)
 
 let psd_model_tests =
   [
@@ -44,9 +46,9 @@ let white_tests =
         Testkit.check_rel ~tol:1e-12 "variance" 0.5 v;
         Testkit.check_rel ~tol:1e-12 "level" 4e-3 (White.level_of_variance ~variance:v ~fs:250.0));
     Testkit.case "generated white noise hits its PSD level" (fun () ->
-        let g = Ptrng_prng.Gaussian.create (Testkit.rng ()) in
         let level = 2e-4 and fs = 1e3 in
-        let x = White.generate g ~level ~fs (1 lsl 16) in
+        let sigma = sqrt (White.variance_of_level ~level ~fs) in
+        let x = samples (Source.white ~sigma) (Testkit.rng ()) (1 lsl 16) in
         let s = Ptrng_signal.Psd.welch ~seg_len:1024 ~fs x in
         let measured = Ptrng_signal.Psd.band_mean s ~f_lo:(fs /. 50.0) ~f_hi:(fs /. 2.2) in
         Testkit.check_rel ~tol:0.05 "level" level measured);
@@ -68,9 +70,8 @@ let kasdin_tests =
         let h = Kasdin.coefficients ~alpha:2.0 4 in
         Alcotest.(check (array (float 1e-12))) "ones" [| 1.0; 1.0; 1.0; 1.0 |] h);
     Testkit.case "flicker block PSD has slope -1 and level h-1" (fun () ->
-        let rng = Testkit.rng () in
-        let hm1 = 3e-5 and fs = 1.0 in
-        let x = Kasdin.flicker_fm_block rng ~hm1 ~fs (1 lsl 16) in
+        let n = 1 lsl 16 and hm1 = 3e-5 and fs = 1.0 in
+        let x = samples (Source.flicker_fm ~taps:n ~hm1 ()) (Testkit.rng ()) n in
         let s = Ptrng_signal.Psd.welch ~seg_len:4096 ~fs x in
         let slope, _ = Slope.log_log_slope s ~f_lo:(4.0 /. 4096.0) ~f_hi:0.05 in
         Testkit.check_abs ~tol:0.15 "slope" (-1.0) slope;
@@ -88,9 +89,10 @@ let kasdin_tests =
         let slope, _ = Slope.log_log_slope s ~f_lo:(8.0 /. 1024.0) ~f_hi:0.05 in
         Testkit.check_abs ~tol:0.2 "slope" (-1.0) slope);
     Testkit.case "allan variance of flicker block is flat" (fun () ->
-        let rng = Testkit.rng ~seed:99L () in
-        let hm1 = 1e-6 in
-        let y = Kasdin.flicker_fm_block rng ~hm1 ~fs:1.0 (1 lsl 16) in
+        let n = 1 lsl 16 and hm1 = 1e-6 in
+        let y =
+          samples (Source.flicker_fm ~taps:n ~hm1 ()) (Testkit.rng ~seed:99L ()) n
+        in
         let reference = Ptrng_stats.Allan.avar_flicker_fm ~hm1 in
         List.iter
           (fun m ->
@@ -106,13 +108,13 @@ let voss_tests =
   [
     Testkit.case "spectrum slope is about -1" (fun () ->
         let v = Voss.create (Testkit.rng ()) ~octaves:16 in
-        let x = Voss.generate v (1 lsl 16) in
+        let x = Array.init (1 lsl 16) (fun _ -> Voss.next v) in
         let s = Ptrng_signal.Psd.welch ~seg_len:4096 ~fs:1.0 x in
         let slope, _ = Slope.log_log_slope s ~f_lo:2e-3 ~f_hi:0.1 in
         Testkit.check_abs ~tol:0.2 "slope" (-1.0) slope);
     Testkit.case "level matches sigma^2/ln2 within the staircase ripple" (fun () ->
         let v = Voss.create (Testkit.rng ()) ~octaves:16 in
-        let x = Voss.generate v (1 lsl 16) in
+        let x = Array.init (1 lsl 16) (fun _ -> Voss.next v) in
         let s = Ptrng_signal.Psd.welch ~seg_len:4096 ~fs:1.0 x in
         let f_ref = 0.01 in
         let level = Ptrng_signal.Psd.band_mean s ~f_lo:(f_ref /. 2.0) ~f_hi:(f_ref *. 2.0) in
@@ -185,14 +187,16 @@ let cross_generator_tests =
         let hm1 = 1e-6 in
         let n = 1 lsl 16 in
         let reference = Ptrng_stats.Allan.avar_flicker_fm ~hm1 in
-        let kasdin = Kasdin.flicker_fm_block (Testkit.rng ~seed:1L ()) ~hm1 ~fs:1.0 n in
+        let kasdin =
+          samples (Source.flicker_fm ~taps:n ~hm1 ()) (Testkit.rng ~seed:1L ()) n
+        in
         let rng2 = Testkit.rng ~seed:2L () in
         let spectral =
           Spectral_synth.generate rng2 ~psd:(fun f -> hm1 /. f) ~fs:1.0 n
         in
         let voss_gen = Voss.create (Testkit.rng ~seed:3L ()) ~octaves:16 in
         let sigma = sqrt (hm1 *. log 2.0) in
-        let voss = Array.map (fun v -> sigma *. v) (Voss.generate voss_gen n) in
+        let voss = Array.init n (fun _ -> sigma *. Voss.next voss_gen) in
         List.iter
           (fun (name, series, tol) ->
             let est = Ptrng_stats.Allan.avar_overlapping ~tau0:1.0 ~m:64 series in

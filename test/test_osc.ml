@@ -87,7 +87,12 @@ let oscillator_tests =
           (Ptrng_stats.Descriptive.variance j));
     Testkit.case "rejects bad parameters" (fun () ->
         Alcotest.check_raises "f0" (Invalid_argument "Oscillator.config: f0 <= 0")
-          (fun () -> ignore (Oscillator.config ~f0:0.0 ~phase:paper_phase ())));
+          (fun () -> ignore (Oscillator.config ~f0:0.0 ~phase:paper_phase ()));
+        let cfg = Oscillator.config ~f0 ~phase:paper_phase () in
+        Alcotest.check_raises "periods n" (Invalid_argument "Oscillator.periods: n <= 0")
+          (fun () -> ignore (Oscillator.periods (Testkit.rng ()) cfg ~n:0));
+        Alcotest.check_raises "simulate n" (Invalid_argument "Pair.simulate: n <= 0")
+          (fun () -> ignore (Pair.simulate (Testkit.rng ()) (Pair.paper_pair ()) ~n:0)));
     Testkit.case "random-walk FM produces the cubic sigma_N^2 regime" (fun () ->
         (* Aging only: Var(s_N) = (4 pi^2/3) h-2 N^3 / f0^3. *)
         let hm2 = 1e-14 in

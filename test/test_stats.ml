@@ -266,8 +266,13 @@ let allan_tests =
         let b = Allan.avar_nonoverlapping ~tau0:1.0 ~m:8 y in
         Testkit.check_rel ~tol:0.1 "estimators agree" a b);
     Testkit.case "flicker FM is flat at 2 ln2 h-1" (fun () ->
-        let hm1 = 1e-6 and fs = 1.0 in
-        let y = Ptrng_noise.Kasdin.flicker_fm_block (Testkit.rng ()) ~hm1 ~fs (1 lsl 17) in
+        let n = 1 lsl 17 and hm1 = 1e-6 and fs = 1.0 in
+        let src =
+          Ptrng_noise.Source.(create (flicker_fm ~taps:n ~hm1 ())) (Testkit.rng ())
+        in
+        let buf = Float.Array.create n in
+        Ptrng_noise.Source.fill src buf;
+        let y = Array.init n (Float.Array.get buf) in
         let expected = Allan.avar_flicker_fm ~hm1 in
         List.iter
           (fun m ->

@@ -1,11 +1,12 @@
-(* Streamed-vs-batch equivalence for the Source API (PR 6).
+(* The Source API and the streaming oscillator pair.
 
    The contract under test: a Source stream is a pure function of its
    creation root — identical whatever chunk sizes the fills use, and
-   (for White/Voss/Spectral) identical to the legacy batch entry points
-   seeded the same way.  The batch generators are exercised on purpose,
-   so the deprecation alert is silenced for this file. *)
-[@@@ocaml.alert "-deprecated"]
+   equal to an independent reference construction seeded the same way
+   (the chunked parallel white initializer, a Voss.next loop,
+   Spectral_synth.generate, a direct convolution of the white input).
+   The parity pins at the end fix the realization of every whole-trace
+   entry point. *)
 
 open Ptrng_noise
 module FA = Float.Array
@@ -44,8 +45,8 @@ let check_fa_close ~tol name expected out =
 
 let total = 20000
 
-(* The batch reference for the white stream: the chunked parallel
-   initializer the oscillator thermal path uses. *)
+(* The reference for the white stream: the chunked parallel
+   initializer whose chunk/seed scheme the stream reuses. *)
 let batch_white ~seed ~sigma n =
   Ptrng_exec.Pool.parallel_init_floats ~domains:1 ~rng:(Testkit.rng ~seed ())
     ~fill:(fun child ~offset ~len out ->
@@ -93,7 +94,7 @@ let white_tests =
 
 let voss_tests =
   [
-    Testkit.case "voss stream == batch ladder, every chunk size" (fun () ->
+    Testkit.case "voss stream == Voss.next loop, every chunk size" (fun () ->
         let octaves = 12 and sigma = 0.5 in
         (* Replicate the source's seeding: one root draw, ladder on
            child stream 0. *)
@@ -101,9 +102,7 @@ let voss_tests =
         let backend = Rng.backend rng in
         let root = Rng.bits64 rng in
         let v = Voss.create (Rng.child ~backend ~root ~index:0 ()) ~octaves in
-        let expected =
-          Array.map (fun s -> sigma *. s) (Voss.generate v 5000)
-        in
+        let expected = Array.init 5000 (fun _ -> sigma *. Voss.next v) in
         List.iter
           (fun size ->
             let out =
@@ -147,14 +146,18 @@ let spectral_tests =
 
 let kasdin_tests =
   [
-    Testkit.case "full-tap streamed filter == batch FFT filter" (fun () ->
+    Testkit.case "full-tap streamed filter == direct convolution" (fun () ->
         (* With taps >= n the truncated overlap-add convolution equals
-           the batch full-length convolution up to FFT rounding. *)
+           the full-length direct convolution of the source's own white
+           input (same root, same chunk seeding) up to FFT rounding. *)
         let n = 4096 in
         let alpha = 1.0 and sigma_w = 0.7 in
         let expected =
-          Kasdin.generate_block ~domains:1 (Testkit.rng ~seed:3L ()) ~alpha
-            ~sigma_w n
+          let white =
+            streamed (Source.white ~sigma:sigma_w) ~seed:3L ~size:n n
+          in
+          Ptrng_signal.Filter.fir_direct ~h:(Kasdin.coefficients ~alpha n)
+            (Array.init n (FA.get white))
         in
         List.iter
           (fun size ->
@@ -274,7 +277,7 @@ let oscillator_tests =
     Testkit.case "spectral source == periods, bit for bit" (fun () ->
         let n = 20000 in
         let cfg = paper_cfg `Spectral in
-        let expected = Osc.periods ~domains:1 (Testkit.rng ~seed:31L ()) cfg ~n in
+        let expected = Osc.periods (Testkit.rng ~seed:31L ()) cfg ~n in
         let src =
           Osc.source ~flicker_block:n (Testkit.rng ~seed:31L ()) cfg
         in
@@ -282,7 +285,7 @@ let oscillator_tests =
     Testkit.case "thermal-only source == periods, bit for bit" (fun () ->
         let n = 20000 in
         let cfg = paper_cfg `None in
-        let expected = Osc.periods ~domains:1 (Testkit.rng ~seed:32L ()) cfg ~n in
+        let expected = Osc.periods (Testkit.rng ~seed:32L ()) cfg ~n in
         let src = Osc.source (Testkit.rng ~seed:32L ()) cfg in
         check_fa_eq "periods" expected (fill_chunked src n));
     Testkit.case "random-walk source == periods, bit for bit" (fun () ->
@@ -291,7 +294,7 @@ let oscillator_tests =
           Osc.config ~flicker_generator:`Spectral ~rw_hm2:1e-22 ~f0:Pair.paper_f0
             ~phase:Pair.paper_relative ()
         in
-        let expected = Osc.periods ~domains:1 (Testkit.rng ~seed:33L ()) cfg ~n in
+        let expected = Osc.periods (Testkit.rng ~seed:33L ()) cfg ~n in
         let src =
           Osc.source ~flicker_block:n (Testkit.rng ~seed:33L ()) cfg
         in
@@ -299,7 +302,7 @@ let oscillator_tests =
     Testkit.case "source_skip lands on the same periods" (fun () ->
         let n = 16384 in
         let cfg = paper_cfg `Spectral in
-        let expected = Osc.periods ~domains:1 (Testkit.rng ~seed:34L ()) cfg ~n in
+        let expected = Osc.periods (Testkit.rng ~seed:34L ()) cfg ~n in
         let src =
           Osc.source ~flicker_block:n (Testkit.rng ~seed:34L ()) cfg
         in
@@ -329,25 +332,6 @@ let oscillator_tests =
           (Invalid_argument
              "Oscillator.source_reset: random-walk FM sources cannot rewind")
           (fun () -> Osc.source_reset rw_src));
-    Testkit.case "pair stream == simulate, bit for bit" (fun () ->
-        let n = 16384 in
-        let pair = Pair.paper_pair () in
-        let p1, p2 =
-          Pair.simulate ~domains:1 (Testkit.rng ~seed:36L ()) pair ~n
-        in
-        let st = Pair.stream ~flicker_block:n (Testkit.rng ~seed:36L ()) pair in
-        let b1 = FA.create n and b2 = FA.create n in
-        let pos = ref 0 in
-        while !pos < n do
-          let len = min 4096 (n - !pos) in
-          let c1 = FA.create len and c2 = FA.create len in
-          Pair.fill st ~p1:c1 ~p2:c2 ~len;
-          FA.blit c1 0 b1 !pos len;
-          FA.blit c2 0 b2 !pos len;
-          pos := !pos + len
-        done;
-        check_fa_eq "osc1" p1 b1;
-        check_fa_eq "osc2" p2 b2);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -374,7 +358,7 @@ let check_points_close ~tol name (expected : Vc.point array)
 
 let jitter_fixture n =
   let pair = Pair.paper_pair () in
-  let p1, p2 = Pair.simulate ~domains:1 (Testkit.rng ~seed:41L ()) pair ~n in
+  let p1, p2 = Pair.simulate (Testkit.rng ~seed:41L ()) pair ~n in
   let jitter = Array.init n (fun i -> p1.(i) -. p2.(i)) in
   (p1, p2, jitter)
 
