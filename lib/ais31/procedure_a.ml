@@ -33,9 +33,13 @@ let check_block name block =
   if Array.length block <> block_bits then
     invalid_arg (Printf.sprintf "Procedure_a.%s: block must be %d bits" name block_bits)
 
-let t1_monobit block =
+let t1_monobit (block : bool array) =
   check_block "t1_monobit" block;
-  let ones = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 block in
+  let ones = ref 0 in
+  for i = 0 to block_bits - 1 do
+    ones := !ones + Bool.to_int block.(i)
+  done;
+  let ones = !ones in
   Report.make ~name:"T1 monobit" ~statistic:(float_of_int ones)
     ~pass:(ones > 9654 && ones < 10346)
     ~detail:"bound (9654, 10346)"
@@ -93,38 +97,72 @@ let t3_runs block =
     ~pass:(!violations = 0)
     ~detail:"all 12 run-length classes within FIPS bounds"
 
-let t4_long_run block =
+let t4_long_run (block : bool array) =
   check_block "t4_long_run" block;
-  let longest = ref 0 in
-  let current = ref 0 in
-  let prev = ref None in
-  Array.iter
-    (fun b ->
-      (match !prev with
-      | Some p when p = b -> incr current
-      | _ -> current := 1);
-      prev := Some b;
-      if !current > !longest then longest := !current)
-    block;
+  let longest = ref 1 and current = ref 1 in
+  for i = 1 to block_bits - 1 do
+    (* Branch-free: the run grows on a repeat and restarts at 1. *)
+    current := (!current * Bool.to_int (block.(i) = block.(i - 1))) + 1;
+    if !current > !longest then longest := !current
+  done;
   Report.make ~name:"T4 long run" ~statistic:(float_of_int !longest)
     ~pass:(!longest < 34)
     ~detail:"no run of length >= 34"
 
-let t5_autocorrelation block =
+(* T5 packs the block into 62-bit words and counts disagreements 62
+   at a time by XOR and popcount.  Word [r * stride + q] of the packed
+   table holds block bits 62 q + r .. 62 q + r + 61 (bit 62 q + r
+   lowest, zeros past the end), so the word starting at any bit p is a
+   single read. *)
+let word_bits = 62
+
+let shifted_words (block : bool array) =
+  let n = Array.length block in
+  let stride = (n / word_bits) + 1 in
+  (* Aligned words first, with a spare zero word at the end. *)
+  let aligned = Array.make (stride + 1) 0 in
+  for i = 0 to n - 1 do
+    let q = i / word_bits in
+    aligned.(q) <- aligned.(q) lor (Bool.to_int block.(i) lsl (i mod word_bits))
+  done;
+  let mask = (1 lsl word_bits) - 1 in
+  let table = Array.make (word_bits * stride) 0 in
+  for r = 0 to word_bits - 1 do
+    for q = 0 to stride - 1 do
+      table.((r * stride) + q) <-
+        ((aligned.(q) lsr r) lor (aligned.(q + 1) lsl (word_bits - r))) land mask
+    done
+  done;
+  (table, stride)
+
+(* SWAR popcount of a nonnegative 62-bit int. *)
+let[@inline] popcount x =
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  ((x * 0x0101010101010101) lsr 56) land 0x7F
+
+let t5_autocorrelation (block : bool array) =
   check_block "t5_autocorrelation" block;
-  let half = 10000 in
+  let half = 10000 and span = 5000 in
+  let table, stride = shifted_words block in
+  let start p = ((p mod word_bits) * stride) + (p / word_bits) in
+  let full = span / word_bits and tail = (1 lsl (span mod word_bits)) - 1 in
+  (* Z_tau: disagreements between bits offset+j and offset+j+tau,
+     j = 0..4999. *)
+  let z_tau offset tau =
+    let a = start offset and b = start (offset + tau) in
+    let acc = ref 0 in
+    for k = 0 to full - 1 do
+      acc := !acc + popcount (table.(a + k) lxor table.(b + k))
+    done;
+    !acc + popcount ((table.(a + full) lxor table.(b + full)) land tail)
+  in
   (* Select tau on the first half: maximise |Z_tau - 2500| over
      tau = 1..5000, computed on bits 0..9999. *)
-  let z_tau offset tau =
-    let acc = ref 0 in
-    for j = 0 to 4999 do
-      if block.(offset + j) <> block.(offset + j + tau) then incr acc
-    done;
-    !acc
-  in
-  let best_tau = ref 1 and best_dep = ref (-1.0) in
-  for tau = 1 to 5000 do
-    let dep = Float.abs (float_of_int (z_tau 0 tau) -. 2500.0) in
+  let best_tau = ref 1 and best_dep = ref (-1) in
+  for tau = 1 to span do
+    let dep = abs (z_tau 0 tau - 2500) in
     if dep > !best_dep then begin
       best_dep := dep;
       best_tau := tau
@@ -147,15 +185,17 @@ let run ?blocks stream =
   let available = Ptrng_trng.Bitstream.length stream / block_bits in
   if available = 0 then invalid_arg "Procedure_a.run: stream shorter than one block";
   let blocks = match blocks with Some b -> min b available | None -> min available 257 in
-  let results = ref [] in
-  if Ptrng_trng.Bitstream.length stream >= t0_words * t0_word_bits then
-    results := [ t0_disjointness stream ];
-  for b = 0 to blocks - 1 do
+  let t0 =
+    if Ptrng_trng.Bitstream.length stream >= t0_words * t0_word_bits then
+      [ t0_disjointness stream ]
+    else []
+  in
+  let block_results b =
     let block =
       Array.init block_bits (fun i ->
           Ptrng_trng.Bitstream.get stream ((b * block_bits) + i))
     in
     let tag r = { r with Report.name = Printf.sprintf "%s (block %d)" r.Report.name b } in
-    results := !results @ List.map tag (run_block block)
-  done;
-  Report.summarize !results
+    List.map tag (run_block block)
+  in
+  Report.summarize (t0 @ List.concat (List.init blocks block_results))

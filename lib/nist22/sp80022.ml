@@ -338,33 +338,80 @@ let maurer_universal bits =
   finish ~name:"maurer-universal" ~statistic:fn
     (erfc (Float.abs (fn -. expected) /. (sqrt2 *. sigma)))
 
-(* Berlekamp-Massey over GF(2): length of the shortest LFSR generating
-   the sequence. *)
-let berlekamp_massey s =
-  let n = Array.length s in
-  let b = Array.make n 0 and c = Array.make n 0 in
-  b.(0) <- 1;
+(* Berlekamp-Massey over GF(2) on bit-packed polynomials: 62 bits per
+   int, coefficient j at bit [j mod 62] of word [j / 62]. *)
+let bm_word = 62
+let bm_mask = (1 lsl bm_word) - 1
+
+(* Scratch words for a [len]-bit block: the coefficients, two spare
+   words for shifted reads and writes past the last one. *)
+let bm_words len = (len / bm_word) + 3
+
+let parity x =
+  let x = x lxor (x lsr 32) in
+  let x = x lxor (x lsr 16) in
+  let x = x lxor (x lsr 8) in
+  let x = x lxor (x lsr 4) in
+  let x = x lxor (x lsr 2) in
+  (x lxor (x lsr 1)) land 1
+
+(* Length L of the shortest LFSR generating bits [pos .. pos+len-1].
+   [r] holds the block reversed (bit k = block bit len-1-k), so the
+   bits s(i), s(i-1), .., s(i-L) that the discrepancy at step i pairs
+   with C's coefficients 0..L are one contiguous window of [r].  [c] is
+   the connection polynomial, [b] the one before the last length change
+   and [t] the copy of [c] that becomes [b].  Each holds [bm_words len]
+   words and is cleared here, so one set serves every block.
+   deg C <= L and deg B <= L_B (the length when B was saved), so each
+   step touches L / 62 + 1 words of [c] and L_B / 62 + 2 of [b]. *)
+let bm_kernel ~r ~c ~b ~t (bits : bool array) ~pos ~len =
+  let words = bm_words len in
+  Array.fill r 0 words 0;
+  Array.fill c 0 words 0;
+  Array.fill b 0 words 0;
+  for k = 0 to len - 1 do
+    if bits.(pos + len - 1 - k) then begin
+      let q = k / bm_word in
+      r.(q) <- r.(q) lor (1 lsl (k mod bm_word))
+    end
+  done;
   c.(0) <- 1;
-  let l = ref 0 and m = ref (-1) in
-  for i = 0 to n - 1 do
-    let d = ref s.(i) in
-    for j = 1 to !l do
-      d := !d lxor (c.(j) land s.(i - j))
+  b.(0) <- 1;
+  let l = ref 0 and l_b = ref 0 and m = ref (-1) in
+  for i = 0 to len - 1 do
+    (* Word w of the window starts at bit len-1-i + 62 w of [r]. *)
+    let q = (len - 1 - i) / bm_word and s = (len - 1 - i) mod bm_word in
+    let d = ref 0 in
+    for w = 0 to !l / bm_word do
+      let x = ((r.(q + w) lsr s) lor (r.(q + w + 1) lsl (bm_word - s))) land bm_mask in
+      d := !d lxor (c.(w) land x)
     done;
-    if !d = 1 then begin
-      let t = Array.copy c in
+    if parity !d = 1 then begin
+      (* C <- C + x^(i-m) B *)
       let shift = i - !m in
-      for j = 0 to n - 1 - shift do
-        c.(j + shift) <- c.(j + shift) lxor b.(j)
+      let q = shift / bm_word and s = shift mod bm_word in
+      let grow = 2 * !l <= i in
+      if grow then Array.blit c 0 t 0 ((!l / bm_word) + 1);
+      for w = 0 to !l_b / bm_word do
+        let v = b.(w) in
+        c.(w + q) <- c.(w + q) lxor ((v lsl s) land bm_mask);
+        c.(w + q + 1) <- c.(w + q + 1) lxor (v lsr (bm_word - s))
       done;
-      if 2 * !l <= i then begin
+      if grow then begin
+        Array.blit t 0 b 0 ((!l / bm_word) + 1);
+        l_b := !l;
         l := i + 1 - !l;
-        m := i;
-        Array.blit t 0 b 0 n
+        m := i
       end
     end
   done;
   !l
+
+let berlekamp_massey bits =
+  let len = Array.length bits in
+  let scratch () = Array.make (bm_words len) 0 in
+  bm_kernel ~r:(scratch ()) ~c:(scratch ()) ~b:(scratch ()) ~t:(scratch ()) bits ~pos:0
+    ~len
 
 let linear_complexity ?(block = 500) bits =
   if block < 100 then invalid_arg "Sp80022.linear_complexity: block < 100";
@@ -380,19 +427,18 @@ let linear_complexity ?(block = 500) bits =
   in
   let pis = [| 0.010417; 0.03125; 0.125; 0.5; 0.25; 0.0625; 0.020833 |] in
   let counts = Array.make 7 0 in
-  for b = 0 to blocks - 1 do
-    let chunk =
-      Array.init block (fun j -> if bits.((b * block) + j) then 1 else 0)
-    in
-    let lc = berlekamp_massey chunk in
-    let t = (sign *. (float_of_int lc -. mu)) +. (2.0 /. 9.0) in
+  let scratch () = Array.make (bm_words block) 0 in
+  let r = scratch () and c = scratch () and b = scratch () and t = scratch () in
+  for k = 0 to blocks - 1 do
+    let lc = bm_kernel ~r ~c ~b ~t bits ~pos:(k * block) ~len:block in
+    let dev = (sign *. (float_of_int lc -. mu)) +. (2.0 /. 9.0) in
     let bin =
-      if t <= -2.5 then 0
-      else if t <= -1.5 then 1
-      else if t <= -0.5 then 2
-      else if t <= 0.5 then 3
-      else if t <= 1.5 then 4
-      else if t <= 2.5 then 5
+      if dev <= -2.5 then 0
+      else if dev <= -1.5 then 1
+      else if dev <= -0.5 then 2
+      else if dev <= 0.5 then 3
+      else if dev <= 1.5 then 4
+      else if dev <= 2.5 then 5
       else 6
     in
     counts.(bin) <- counts.(bin) + 1

@@ -60,9 +60,19 @@ val maurer_universal : bool array -> result
     distance between block recurrences vs the reference expectation.
     @raise Invalid_argument with fewer than (640 + 1000) 6-bit blocks. *)
 
+val berlekamp_massey : bool array -> int
+(** Linear complexity of the whole array: the length L of the shortest
+    LFSR that generates it (0 for an empty or all-zero array), by
+    Berlekamp–Massey over GF(2) on polynomials packed 62 bits to an
+    int: O(n L / 62) word operations, four scratch arrays of n / 62 + 3
+    ints. *)
+
 val linear_complexity : ?block:int -> bool array -> result
 (** Berlekamp–Massey linear complexity of [block]-bit chunks (default
-    500), classified around the theoretical mean.
+    500), classified around the theoretical mean.  Each chunk runs
+    {!berlekamp_massey}'s kernel, O(n [block] / 62) word operations in
+    all; its four scratch arrays are allocated once and shared by every
+    chunk.
     @raise Invalid_argument with fewer than 100 blocks. *)
 
 val non_overlapping_template : ?template:bool array -> bool array -> result

@@ -27,24 +27,25 @@ let most_common_value bits =
   in
   finish ~name:"most-common-value" p_u
 
-let collision bits =
+let collision (bits : bool array) =
   require "collision" 300 bits;
   let n = Array.length bits in
   (* Collision times: the minimal window from the cursor containing a
      repeated symbol; 2 when the next two bits agree, otherwise 3. *)
-  let times = ref [] in
-  let i = ref 0 in
+  let collisions = ref 0 and i = ref 0 in
   while !i + 2 < n do
-    if bits.(!i) = bits.(!i + 1) then begin
-      times := 2.0 :: !times;
-      i := !i + 2
-    end
-    else begin
-      times := 3.0 :: !times;
-      i := !i + 3
-    end
+    incr collisions;
+    i := !i + (if bits.(!i) = bits.(!i + 1) then 2 else 3)
   done;
-  let t = Array.of_list !times in
+  (* Latest collision first, the order the statistics below sum in. *)
+  let t = Array.make !collisions 0.0 in
+  let k = ref (!collisions - 1) and i = ref 0 in
+  while !i + 2 < n do
+    let time = if bits.(!i) = bits.(!i + 1) then 2 else 3 in
+    t.(!k) <- float_of_int time;
+    decr k;
+    i := !i + time
+  done;
   let l = Array.length t in
   if l < 50 then invalid_arg "Estimators.collision: too few collisions";
   let mean = Ptrng_stats.Descriptive.mean t in
@@ -105,30 +106,44 @@ let markov ?(steps = 128) bits =
     min_entropy = per_bit;
   }
 
-let t_tuple ?(max_t = 16) bits =
+(* Tuple ids by one-bit refinement: after round t, [id.(i)] numbers
+   the t-bit window starting at bit i densely (below the number of
+   windows), so equal windows share an id.  Round t+1 renumbers the
+   pairs (id.(i), bits.(i+t)) in order of first appearance through
+   [remap], indexed by 2 id + bit. *)
+let t_tuple ?(max_t = 16) (bits : bool array) =
   require "t_tuple" 1000 bits;
   if max_t < 1 || max_t > 62 then invalid_arg "Estimators.t_tuple: max_t outside [1,62]";
   let n = Array.length bits in
+  let id = Array.init n (fun i -> Bool.to_int bits.(i)) in
+  let remap = Array.make (2 * n) (-1) in
+  let counts = Array.make n 0 in
+  let classes = ref 2 in
   let worst = ref 0.0 in
   (try
      for t = 1 to max_t do
        let windows = n - t + 1 in
-       let counts = Hashtbl.create 1024 in
-       (* Pack each t-bit window into an int key. *)
-       let key = ref 0 in
-       for j = 0 to t - 1 do
-         key := (!key lsl 1) lor (if bits.(j) then 1 else 0)
+       if t > 1 then begin
+         let next = ref 0 in
+         for i = 0 to windows - 1 do
+           let key = (2 * id.(i)) + Bool.to_int bits.(i + t - 1) in
+           if remap.(key) < 0 then begin
+             remap.(key) <- !next;
+             incr next
+           end;
+           id.(i) <- remap.(key)
+         done;
+         Array.fill remap 0 (2 * !classes) (-1);
+         classes := !next
+       end;
+       Array.fill counts 0 !classes 0;
+       let max_count = ref 0 in
+       for i = 0 to windows - 1 do
+         let c = counts.(id.(i)) + 1 in
+         counts.(id.(i)) <- c;
+         if c > !max_count then max_count := c
        done;
-       let mask = (1 lsl t) - 1 in
-       let bump k =
-         Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
-       in
-       bump !key;
-       for i = 1 to windows - 1 do
-         key := ((!key lsl 1) lor (if bits.(i + t - 1) then 1 else 0)) land mask;
-         bump !key
-       done;
-       let max_count = Hashtbl.fold (fun _ c acc -> max c acc) counts 0 in
+       let max_count = !max_count in
        (* The standard keeps tuple sizes whose champion appears >= 35
           times; below that the frequency estimate is too noisy. *)
        if max_count < 35 then raise Exit;

@@ -29,7 +29,8 @@ val collision : bool array -> estimate
 (** Collision estimator (90B §6.3.2, binary closed form).  For a binary
     source the minimal window containing a repeat has length 2 (prob
     p^2 + q^2) or 3, so [E(t) = 2 + 2 p q]; the lower confidence bound
-    on the observed mean inverts to an upper bound on p.
+    on the observed mean inverts to an upper bound on p.  O(n) time,
+    one float per collision (at most n/2).
     @raise Invalid_argument on fewer than 300 bits. *)
 
 val markov : ?steps:int -> bool array -> estimate
@@ -44,8 +45,10 @@ val t_tuple : ?max_t:int -> bool array -> estimate
 (** T-tuple estimator (90B §6.3.5): for every tuple length t (up to
     [max_t], default 16) whose most frequent tuple still appears >= 35
     times, bound the per-bit probability by [max_count/(n-t+1)]^(1/t);
-    take the most pessimistic. @raise Invalid_argument on fewer than
-    1000 bits. *)
+    take the most pessimistic.  Tuples are counted under dense ids
+    refined one bit per tuple length, so every length up to 62 runs on
+    the same path: O(n) time per tuple length examined, 4n ints of
+    memory.  @raise Invalid_argument on fewer than 1000 bits. *)
 
 val run_all : ?domains:int -> bool array -> estimate list * float
 (** All estimators plus the 90B-style aggregate: the minimum of the

@@ -56,24 +56,27 @@ let score ~name ~correct ~n ~longest_run =
     min_entropy = Float.max 0.0 (Float.min 1.0 (-.(log p_max /. log 2.0)));
   }
 
+(* A prediction is an int: the guessed bit (0 or 1), or [no_guess]. *)
+let no_guess = -1
+
 (* Fold a prediction stream: [predict i] returns the ensemble's guess
-   for bits.(i) (or None early on); the caller updates its own state
-   via [update i] afterwards. *)
-let run_predictor ~name ~start bits predict update =
+   for bits.(i); the caller updates its own state via [update i]
+   afterwards. *)
+let run_predictor ~name ~start (bits : bool array) predict update =
   let n = Array.length bits in
   let correct = ref 0 and made = ref 0 in
   let run = ref 0 and longest = ref 0 in
   for i = start to n - 1 do
-    (match predict i with
-    | Some guess ->
+    let guess = predict i in
+    if guess <> no_guess then begin
       incr made;
-      if guess = bits.(i) then begin
+      if guess = Bool.to_int bits.(i) then begin
         incr correct;
         incr run;
         if !run > !longest then longest := !run
       end
       else run := 0
-    | None -> ());
+    end;
     update i
   done;
   score ~name ~correct:!correct ~n:!made ~longest_run:!longest
@@ -82,13 +85,13 @@ let run_predictor ~name ~start bits predict update =
 
 let mcw_windows = [| 63; 255; 1023; 4095 |]
 
-let multi_mcw bits =
+let multi_mcw (bits : bool array) =
   if Array.length bits < 4096 then invalid_arg "Predictors.multi_mcw: need >= 4096 bits";
   let n = Array.length bits in
   (* Prefix ones for O(1) window majority. *)
   let ones = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    ones.(i + 1) <- ones.(i) + (if bits.(i) then 1 else 0)
+    ones.(i + 1) <- ones.(i) + Bool.to_int bits.(i)
   done;
   let k = Array.length mcw_windows in
   let scoreboard = Array.make k 0 in
@@ -105,7 +108,7 @@ let multi_mcw bits =
     for j = 1 to k - 1 do
       if scoreboard.(j) > scoreboard.(!best) then best := j
     done;
-    Some (sub_predict mcw_windows.(!best) i)
+    Bool.to_int (sub_predict mcw_windows.(!best) i)
   in
   let update i =
     for j = 0 to k - 1 do
@@ -117,101 +120,118 @@ let multi_mcw bits =
 
 (* --- Lag ------------------------------------------------------------ *)
 
-let lag ?(max_lag = 128) bits =
+let lag ?(max_lag = 128) (bits : bool array) =
   if max_lag < 1 then invalid_arg "Predictors.lag: max_lag < 1";
   if Array.length bits < max 1000 (2 * max_lag) then
     invalid_arg "Predictors.lag: need >= 1000 bits";
   let scoreboard = Array.make max_lag 0 in
-  let predict i =
-    let best = ref 0 in
-    for j = 1 to max_lag - 1 do
-      if scoreboard.(j) > scoreboard.(!best) then best := j
-    done;
-    Some bits.(i - (!best + 1))
-  in
+  (* The first lag with the top score, kept up to date by [update]. *)
+  let best = ref 0 in
+  let predict i = Bool.to_int bits.(i - (!best + 1)) in
   let update i =
+    let b = Bool.to_int bits.(i) in
+    let top = ref 0 in
     for j = 0 to max_lag - 1 do
-      if bits.(i - (j + 1)) = bits.(i) then scoreboard.(j) <- scoreboard.(j) + 1
-    done
+      (* Branch-free: on random bits the agreement is a coin flip. *)
+      let score = scoreboard.(j) + 1 - (Bool.to_int bits.(i - (j + 1)) lxor b) in
+      scoreboard.(j) <- score;
+      if score > scoreboard.(!top) then top := j
+    done;
+    best := !top
   in
   run_predictor ~name:"lag" ~start:max_lag bits predict update
 
 (* --- MultiMMC ------------------------------------------------------- *)
 
-let multi_mmc ?(max_order = 16) bits =
+(* Orders are run one after another.  [ctx.(i)] is the order-d context
+   of bit i (bits i-d .. i-1) as a dense id below n: order d+1 refines
+   it by one older bit, renumbering the pairs (id, bits.(i-d-1)) in
+   order of first appearance through [remap].  Each order leaves its
+   guess at bit i in [guess.(i)] when its score so far beats every
+   lower order's, so after the last order [guess] holds the
+   meta-predictor's pick. *)
+let multi_mmc ?(max_order = 16) (bits : bool array) =
   if max_order < 1 || max_order > 30 then
     invalid_arg "Predictors.multi_mmc: max_order outside [1,30]";
   if Array.length bits < 1000 then invalid_arg "Predictors.multi_mmc: need >= 1000 bits";
-  (* Per order: context (packed bits + length marker) -> (c0, c1). *)
-  let tables = Array.init max_order (fun _ -> Hashtbl.create 1024) in
-  let context d i =
-    (* Bits i-d .. i-1 packed with a leading marker bit. *)
-    let acc = ref 1 in
-    for j = i - d to i - 1 do
-      acc := (!acc lsl 1) lor (if bits.(j) then 1 else 0)
+  let n = Array.length bits in
+  let start = 2 in
+  let ctx = Array.init n (fun i -> if i = 0 then 0 else Bool.to_int bits.(i - 1)) in
+  let remap = Array.make (2 * n) (-1) in
+  (* counts.(2 id + b): how often bit b followed context id. *)
+  let counts = Array.make (2 * n) 0 in
+  let best_score = Array.make n 0 and guess = Array.make n no_guess in
+  let classes = ref 2 in
+  for d = 1 to max_order do
+    let next = ref 0 in
+    Array.fill counts 0 (2 * !classes) 0;
+    let score = ref 0 in
+    for i = d to n - 1 do
+      if d > 1 then begin
+        let key = (2 * ctx.(i)) + Bool.to_int bits.(i - d) in
+        if remap.(key) < 0 then begin
+          remap.(key) <- !next;
+          incr next
+        end;
+        ctx.(i) <- remap.(key)
+      end;
+      if i >= start then begin
+        let c = 2 * ctx.(i) in
+        let c0 = counts.(c) and c1 = counts.(c + 1) in
+        let g = if c0 = c1 then no_guess else Bool.to_int (c1 > c0) in
+        if d = 1 || !score > best_score.(i) then begin
+          best_score.(i) <- !score;
+          guess.(i) <- g
+        end;
+        let b = Bool.to_int bits.(i) in
+        score := !score + Bool.to_int (g = b);
+        counts.(c + b) <- counts.(c + b) + 1
+      end
     done;
-    !acc
-  in
-  let scoreboard = Array.make max_order 0 in
-  let sub_predict d i =
-    match Hashtbl.find_opt tables.(d - 1) (context d i) with
-    | Some (c0, c1) when c0 <> c1 -> Some (c1 > c0)
-    | Some _ | None -> None
-  in
-  let predict i =
-    let best = ref 0 in
-    for j = 1 to max_order - 1 do
-      if scoreboard.(j) > scoreboard.(!best) then best := j
-    done;
-    sub_predict (!best + 1) i
-  in
-  let update i =
-    for d = 1 to min max_order i do
-      (match sub_predict d i with
-      | Some guess when guess = bits.(i) -> scoreboard.(d - 1) <- scoreboard.(d - 1) + 1
-      | _ -> ());
-      let key = context d i in
-      let c0, c1 = Option.value ~default:(0, 0) (Hashtbl.find_opt tables.(d - 1) key) in
-      Hashtbl.replace tables.(d - 1) key
-        (if bits.(i) then (c0, c1 + 1) else (c0 + 1, c1))
-    done
-  in
-  run_predictor ~name:"multi-mmc" ~start:2 bits predict update
+    if d > 1 then begin
+      Array.fill remap 0 (2 * !classes) (-1);
+      classes := !next
+    end
+  done;
+  run_predictor ~name:"multi-mmc" ~start bits (fun i -> guess.(i)) ignore
 
 (* --- LZ78Y ----------------------------------------------------------- *)
 
-let lz78y bits =
+(* The dictionary is dense: the depth-d context of bit i is the key
+   [2^d lor (bits i-d .. i-1)] below 2^17, and [counts.(2 key + b)]
+   counts how often bit b followed it.  A key is in the dictionary once
+   it has a count; at most [max_entries] keys are ever added. *)
+let lz78y (bits : bool array) =
   if Array.length bits < 1000 then invalid_arg "Predictors.lz78y: need >= 1000 bits";
   let max_depth = 16 in
   let max_entries = 65536 in
-  let dict : (int, int * int) Hashtbl.t = Hashtbl.create 4096 in
-  let key d i =
-    let acc = ref 1 in
-    for j = i - d to i - 1 do
-      acc := (!acc lsl 1) lor (if bits.(j) then 1 else 0)
-    done;
-    !acc
-  in
+  let counts = Array.make (2 lsl (max_depth + 1)) 0 in
+  let entries = ref 0 in
+  (* The [max_depth] bits before the current one, the newest lowest. *)
+  let history = ref (Bool.to_int bits.(0)) in
+  let key d = (1 lsl d) lor (!history land ((1 lsl d) - 1)) in
   let predict i =
     let rec deepest d =
-      if d = 0 then None
-      else
-        match Hashtbl.find_opt dict (key d i) with
-        | Some (c0, c1) when c0 <> c1 -> Some (c1 > c0)
-        | _ -> deepest (d - 1)
+      if d = 0 then no_guess
+      else begin
+        let k = 2 * key d in
+        let c0 = counts.(k) and c1 = counts.(k + 1) in
+        if c0 <> c1 then Bool.to_int (c1 > c0) else deepest (d - 1)
+      end
     in
     deepest (min max_depth i)
   in
   let update i =
+    let b = Bool.to_int bits.(i) in
     for d = 1 to min max_depth i do
-      let k = key d i in
-      match Hashtbl.find_opt dict k with
-      | Some (c0, c1) ->
-        Hashtbl.replace dict k (if bits.(i) then (c0, c1 + 1) else (c0 + 1, c1))
-      | None ->
-        if Hashtbl.length dict < max_entries then
-          Hashtbl.add dict k (if bits.(i) then (0, 1) else (1, 0))
-    done
+      let k = 2 * key d in
+      if counts.(k) + counts.(k + 1) > 0 then counts.(k + b) <- counts.(k + b) + 1
+      else if !entries < max_entries then begin
+        incr entries;
+        counts.(k + b) <- 1
+      end
+    done;
+    history := ((!history lsl 1) lor b) land ((1 lsl max_depth) - 1)
   in
   run_predictor ~name:"lz78y" ~start:1 bits predict update
 

@@ -21,14 +21,20 @@ val multi_mcw : bool array -> Estimators.estimate
 val lag : ?max_lag:int -> bool array -> Estimators.estimate
 (** Lag predictors (1..[max_lag], default 128) under a meta-predictor;
     the right tool for periodic or slowly drifting sources.
+    O([max_lag] n) time, [max_lag] ints of memory.
     @raise Invalid_argument on fewer than 1000 bits. *)
 
 val multi_mmc : ?max_order:int -> bool array -> Estimators.estimate
 (** Markov-model-with-counting predictors of orders 1..[max_order]
-    (default 16). @raise Invalid_argument on fewer than 1000 bits. *)
+    (default 16, at most 30).  Contexts are dense ids refined one bit
+    per order and the orders run one after another, so every order
+    runs on the same path: O([max_order] n) time, 7n ints of memory.
+    @raise Invalid_argument on fewer than 1000 bits. *)
 
 val lz78y : bool array -> Estimators.estimate
-(** LZ78-based predictor with a bounded dictionary.
+(** LZ78-based predictor with a bounded dictionary (contexts up to 16
+    bits, at most 65536 entries).  The dictionary is a dense table of
+    2^18 ints (2 MB) whatever the input length; O(16 n) time.
     @raise Invalid_argument on fewer than 1000 bits. *)
 
 val run_all : bool array -> Estimators.estimate list * float

@@ -141,10 +141,24 @@ let report_tests =
              < String.length text));
   ]
 
+(* Packed T5 against the bit-by-bit oracle of [Oracle]. *)
+let t5_oracle_tests =
+  [
+    Testkit.qcheck ~count:40 ~seed:0xA5 ~print:Oracle.print_source "T5 == oracle"
+      (Oracle.gen_source ~min_len:Procedure_a.block_bits ~max_len:Procedure_a.block_bits)
+      (fun src ->
+        let block = Oracle.bits_of src in
+        let z, tau = Oracle.t5_autocorrelation block in
+        let r = Procedure_a.t5_autocorrelation block in
+        r.Report.statistic = float_of_int z
+        && r.Report.detail = Printf.sprintf "tau = %d, bound (2326, 2674)" tau);
+  ]
+
 let () =
   Alcotest.run "ptrng_ais31"
     [
       ("procedure_a", procedure_a_tests);
       ("procedure_b", procedure_b_tests);
       ("report", report_tests);
+      ("t5-oracle", t5_oracle_tests);
     ]

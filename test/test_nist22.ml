@@ -174,6 +174,44 @@ let battery_cases =
         Testkit.check_true "several failures" (failed >= 3));
   ]
 
+(* The packed Berlekamp-Massey against the copying oracle of [Oracle]:
+   random, sticky and periodic blocks of random lengths, plus all-zero
+   ones. *)
+let berlekamp_massey_cases =
+  [
+    Testkit.qcheck ~count:300 ~seed:0xB001 ~print:Oracle.print_source
+      "berlekamp_massey == oracle" (Oracle.gen_source ~min_len:1 ~max_len:700) (fun src ->
+        let bits = Oracle.bits_of src in
+        Oracle.berlekamp_massey bits = Sp80022.berlekamp_massey bits);
+    Testkit.case "berlekamp_massey == oracle on all-zero and single-one blocks" (fun () ->
+        List.iter
+          (fun n ->
+            let zeros = Array.make n false in
+            Alcotest.(check int) "zeros" 0 (Sp80022.berlekamp_massey zeros);
+            let last = Array.init n (fun i -> i = n - 1) in
+            Alcotest.(check int) "last one" (Oracle.berlekamp_massey last)
+              (Sp80022.berlekamp_massey last))
+          [ 1; 2; 61; 62; 63; 124; 500; 1000 ]);
+    (* Mixed sources make blocks of very different complexity follow
+       one another through the shared scratch arrays. *)
+    Testkit.qcheck ~count:12 ~seed:0xB002
+      ~print:QCheck2.Print.(pair int (list Oracle.print_source))
+      "linear_complexity == oracle, random block sizes"
+      QCheck2.Gen.(pair (int_range 100 700) (list_size (int_range 1 4) (Oracle.gen_source ~min_len:1 ~max_len:30000)))
+      (fun (block, srcs) ->
+        let bits = Array.concat (List.map Oracle.bits_of srcs) in
+        let bits =
+          if Array.length bits >= 100 * block then bits
+          else Array.append bits (Array.make ((100 * block) - Array.length bits) false)
+        in
+        Oracle.linear_complexity ~block bits = Sp80022.linear_complexity ~block bits);
+  ]
+
 let () =
   Alcotest.run "ptrng_nist22"
-    [ ("tests", per_test_cases); ("heavyweight", heavyweight_cases); ("battery", battery_cases) ]
+    [
+      ("tests", per_test_cases);
+      ("heavyweight", heavyweight_cases);
+      ("battery", battery_cases);
+      ("berlekamp-massey", berlekamp_massey_cases);
+    ]

@@ -244,6 +244,43 @@ let run_all_tests =
         Testkit.check_true "dependence detected" (weak < strong -. 0.15));
   ]
 
+(* The dense kernels against the hash-table oracles of [Oracle], on
+   fixed-seed random sources and parameters. *)
+let oracle_tests =
+  let same name expected actual =
+    if expected <> actual then
+      QCheck2.Test.fail_reportf "%s: oracle %s p_max %h, kernel %s p_max %h" name
+        expected.Estimators.name expected.p_max actual.Estimators.name actual.p_max;
+    true
+  in
+  let with_param gen_param print_param =
+    QCheck2.Gen.pair (Oracle.gen_source ~min_len:1000 ~max_len:6000) gen_param,
+    QCheck2.Print.pair Oracle.print_source print_param
+  in
+  [
+    (let gen, print = with_param (QCheck2.Gen.int_range 1 62) string_of_int in
+     Testkit.qcheck ~count:40 ~seed:0x7001 ~print "t_tuple == oracle, max_t in [1, 62]" gen
+       (fun (src, max_t) ->
+         let bits = Oracle.bits_of src in
+         same "t_tuple" (Oracle.t_tuple ~max_t bits) (Estimators.t_tuple ~max_t bits)));
+    (let gen, print = with_param (QCheck2.Gen.int_range 1 30) string_of_int in
+     Testkit.qcheck ~count:30 ~seed:0x7002 ~print "multi_mmc == oracle, max_order in [1, 30]"
+       gen (fun (src, max_order) ->
+         let bits = Oracle.bits_of src in
+         same "multi_mmc" (Oracle.multi_mmc ~max_order bits)
+           (Predictors.multi_mmc ~max_order bits)));
+    Testkit.qcheck ~count:30 ~seed:0x7003 ~print:Oracle.print_source "lz78y == oracle"
+      (Oracle.gen_source ~min_len:1000 ~max_len:6000)
+      (fun src ->
+        let bits = Oracle.bits_of src in
+        same "lz78y" (fst (Oracle.lz78y bits)) (Predictors.lz78y bits));
+    Testkit.case "lz78y == oracle past the dictionary cap" (fun () ->
+        let bits = random_bits ~seed:0x7004L 40000 in
+        let expected, entries = Oracle.lz78y bits in
+        Alcotest.(check int) "dictionary full" Oracle.lz78y_max_entries entries;
+        Testkit.check_true "same estimate" (expected = Predictors.lz78y bits));
+  ]
+
 let () =
   Alcotest.run "ptrng_sp90b"
     [
@@ -254,4 +291,5 @@ let () =
       ("predictors", predictor_tests);
       ("health", health_tests);
       ("run_all", run_all_tests);
+      ("oracles", oracle_tests);
     ]

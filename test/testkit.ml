@@ -25,8 +25,11 @@ let rng ?(seed = 0x5EEDL) () = Ptrng_prng.Rng.create ~seed ()
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 
-let qcheck ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+(* [seed] fixes the generator's random state, so every run draws the
+   same cases. *)
+let qcheck ?(count = 200) ?seed ?print name gen prop =
+  let rand = Option.map (fun s -> Random.State.make [| s |]) seed in
+  QCheck_alcotest.to_alcotest ?rand (QCheck2.Test.make ~count ~name ?print gen prop)
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
