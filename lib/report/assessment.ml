@@ -31,22 +31,44 @@ let evaluate ?(claimed_entropy = 0.997) stream =
   let n = Ptrng_trng.Bitstream.length stream in
   if n < 2000 then invalid_arg "Assessment.evaluate: need >= 2000 bits";
   let bits = Ptrng_trng.Bitstream.to_bools stream in
-  let ais31_a =
-    if n >= Ptrng_ais31.Procedure_a.block_bits then
-      Some (Ptrng_ais31.Procedure_a.run stream)
-    else None
+  (* Every family only reads [bits], so they run as one pool section.
+     Each task fills its own slot; the tasks are listed costliest first
+     so the long ones start early, and each predictor, the costliest
+     family, is a task of its own. *)
+  let module P = Ptrng_sp90b.Predictors in
+  let ais31_a = ref None and ais31_b = ref None and nist = ref [] in
+  let sp90b = ref ([], 1.0) and health = ref (0, 0) in
+  let mcw = ref None and lag = ref None and mmc = ref None and lz78y = ref None in
+  let predict slot f () = if n >= 4096 then slot := Some (f bits) in
+  let tasks =
+    [|
+      (fun () -> nist := Ptrng_nist22.Sp80022.run_all bits);
+      predict lag (fun bits -> P.lag bits);
+      predict lz78y P.lz78y;
+      (fun () ->
+        if n >= Ptrng_ais31.Procedure_a.block_bits then
+          ais31_a := Some (Ptrng_ais31.Procedure_a.run stream));
+      predict mmc (fun bits -> P.multi_mmc bits);
+      (fun () -> sp90b := Ptrng_sp90b.Estimators.run_all bits);
+      predict mcw P.multi_mcw;
+      (fun () -> ais31_b := Some (Ptrng_ais31.Procedure_b.run stream));
+      (fun () ->
+        health :=
+          Ptrng_sp90b.Health.scan
+            ~cutoff_rct:(Ptrng_sp90b.Health.rct_cutoff ~h:claimed_entropy ())
+            ~cutoff_apt:(Ptrng_sp90b.Health.apt_cutoff ~h:claimed_entropy ())
+            ~window:1024 bits);
+    |]
   in
-  let ais31_b = Some (Ptrng_ais31.Procedure_b.run stream) in
-  let nist = Ptrng_nist22.Sp80022.run_all bits in
-  let sp90b, sp90b_aggregate = Ptrng_sp90b.Estimators.run_all bits in
-  let predictors, predictor_aggregate =
-    if n >= 4096 then Ptrng_sp90b.Predictors.run_all bits else ([], 1.0)
-  in
-  let health_rct_alarms, health_apt_alarms =
-    Ptrng_sp90b.Health.scan
-      ~cutoff_rct:(Ptrng_sp90b.Health.rct_cutoff ~h:claimed_entropy ())
-      ~cutoff_apt:(Ptrng_sp90b.Health.apt_cutoff ~h:claimed_entropy ())
-      ~window:1024 bits
+  Ptrng_exec.Pool.parallel_iter (fun task -> task ()) tasks;
+  let ais31_a = !ais31_a and ais31_b = !ais31_b and nist = !nist in
+  let sp90b, sp90b_aggregate = !sp90b in
+  let health_rct_alarms, health_apt_alarms = !health in
+  let predictors = List.filter_map ( ! ) [ mcw; lag; mmc; lz78y ] in
+  let predictor_aggregate =
+    List.fold_left
+      (fun acc (e : Ptrng_sp90b.Estimators.estimate) -> Float.min acc e.min_entropy)
+      1.0 predictors
   in
   let aggregate = Float.min sp90b_aggregate predictor_aggregate in
   let serial_correlation =
