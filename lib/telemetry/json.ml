@@ -118,6 +118,23 @@ let literal c word value =
   String.iter (fun ch -> expect c ch) word;
   value
 
+(* The four hex digits of a \\u escape, exactly four. *)
+let hex4 c =
+  if c.pos + 4 > String.length c.src then fail c "truncated \\u escape";
+  let digit ch =
+    match ch with
+    | '0' .. '9' -> Char.code ch - Char.code '0'
+    | 'a' .. 'f' -> Char.code ch - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
+    | _ -> fail c "bad \\u escape"
+  in
+  let code = ref 0 in
+  for k = 0 to 3 do
+    code := (!code lsl 4) lor digit c.src.[c.pos + k]
+  done;
+  c.pos <- c.pos + 4;
+  !code
+
 let parse_string c =
   expect c '"';
   let b = Buffer.create 16 in
@@ -138,16 +155,24 @@ let parse_string c =
       | Some 'f' -> Buffer.add_char b '\012'; advance c
       | Some 'u' ->
         advance c;
-        if c.pos + 4 > String.length c.src then fail c "truncated \\u escape";
-        let hex = String.sub c.src c.pos 4 in
+        let code = hex4 c in
         let code =
-          try int_of_string ("0x" ^ hex) with _ -> fail c "bad \\u escape"
+          if code >= 0xD800 && code <= 0xDBFF then begin
+            (* A high surrogate must be followed by an escaped low one;
+               the pair encodes one code point above U+FFFF. *)
+            if not (c.pos + 1 < String.length c.src && c.src.[c.pos] = '\\'
+                    && c.src.[c.pos + 1] = 'u')
+            then fail c "lone surrogate in \\u escape";
+            c.pos <- c.pos + 2;
+            let low = hex4 c in
+            if low < 0xDC00 || low > 0xDFFF then fail c "lone surrogate in \\u escape";
+            0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+          end
+          else if code >= 0xDC00 && code <= 0xDFFF then
+            fail c "lone surrogate in \\u escape"
+          else code
         in
-        c.pos <- c.pos + 4;
-        (* Telemetry output only escapes control characters; emit the
-           code point as Latin-1 when it fits, '?' otherwise. *)
-        if code < 0x100 then Buffer.add_char b (Char.chr code)
-        else Buffer.add_char b '?'
+        Buffer.add_utf_8_uchar b (Uchar.of_int code)
       | _ -> fail c "bad escape");
       loop ()
     | Some ch ->

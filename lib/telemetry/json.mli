@@ -28,5 +28,7 @@ val to_string_pretty : t -> string
 
 val of_string : string -> t
 (** Strict parser for the subset this module emits (no exponents in
-    keys, no comments, UTF-8 passed through).
-    @raise Failure on malformed input. *)
+    keys, no comments, UTF-8 passed through).  A [\uXXXX] escape takes
+    exactly four hex digits and decodes to UTF-8; a surrogate pair
+    decodes to the one code point it encodes.
+    @raise Failure on malformed input, including a lone surrogate. *)

@@ -200,6 +200,40 @@ let json_props =
         Json.of_string (Json.to_string_pretty j) = json_normalize j);
   ]
 
+let json_escape_cases =
+  let parses_to name src expected =
+    Alcotest.(check string) name expected
+      (match Json.of_string src with Json.String s -> s | _ -> Alcotest.fail "not a string")
+  in
+  let rejects name src =
+    match Json.of_string src with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.failf "%s: %S parsed" name src
+  in
+  [
+    Testkit.case "\\u escapes decode to UTF-8" (fun () ->
+        parses_to "ascii" {|"\u0041"|} "A";
+        parses_to "control" {|"\u001f"|} "\x1f";
+        parses_to "latin-1 range" {|"\u00e9"|} "\xc3\xa9";
+        parses_to "upper-case hex" {|"\u00C9"|} "\xc3\x89";
+        parses_to "em dash" {|"a \u2014 b"|} "a \xe2\x80\x94 b";
+        parses_to "surrogate pair" {|"\ud83d\ude00"|} "\xf0\x9f\x98\x80");
+    Testkit.case "an em dash round-trips" (fun () ->
+        let j = Json.Obj [ ("note", Json.String "max over counts \xe2\x80\x94 order-independent") ] in
+        Testkit.check_true "compact" (Json.of_string (Json.to_string j) = j);
+        Testkit.check_true "pretty" (Json.of_string (Json.to_string_pretty j) = j));
+    Testkit.case "malformed \\u escapes are errors" (fun () ->
+        rejects "underscore" {|"\u12_3"|};
+        rejects "sign" {|"\u+123"|};
+        rejects "non-hex" {|"\u12g4"|};
+        rejects "truncated" {|"\u12"|};
+        rejects "lone high surrogate" {|"\ud83d"|};
+        rejects "high surrogate then text" {|"\ud83dx"|};
+        rejects "high surrogate then non-surrogate" {|"\ud83d\u0041"|};
+        rejects "two high surrogates" {|"\ud83d\ud83d"|};
+        rejects "lone low surrogate" {|"\ude00"|});
+  ]
+
 let prometheus_golden =
   String.concat "\n"
     [
@@ -494,6 +528,7 @@ let () =
       ("histogram", histogram_tests);
       ("span", span_tests);
       ("json", json_props);
+      ("json-escapes", json_escape_cases);
       ("sink", sink_tests);
       ("series", series_tests);
       ("trace", trace_tests);
