@@ -109,54 +109,38 @@ let t4_long_run (block : bool array) =
     ~pass:(!longest < 34)
     ~detail:"no run of length >= 34"
 
-(* T5 packs the block into 62-bit words and counts disagreements 62
-   at a time by XOR and popcount.  Word [r * stride + q] of the packed
-   table holds block bits 62 q + r .. 62 q + r + 61 (bit 62 q + r
-   lowest, zeros past the end), so the word starting at any bit p is a
-   single read. *)
-let word_bits = 62
-
+(* T5 counts disagreements 62 at a time by XOR and popcount.  Word
+   [r * stride + q] of the table holds block bits 62 q + r ..
+   62 q + r + 61 (zeros past the end), so the word starting at any bit
+   p is a single read. *)
 let shifted_words (block : bool array) =
-  let n = Array.length block in
-  let stride = (n / word_bits) + 1 in
-  (* Aligned words first, with a spare zero word at the end. *)
-  let aligned = Array.make (stride + 1) 0 in
-  for i = 0 to n - 1 do
-    let q = i / word_bits in
-    aligned.(q) <- aligned.(q) lor (Bool.to_int block.(i) lsl (i mod word_bits))
-  done;
-  let mask = (1 lsl word_bits) - 1 in
-  let table = Array.make (word_bits * stride) 0 in
-  for r = 0 to word_bits - 1 do
+  let module W = Ptrng_trng.Bitwords in
+  let stride = (Array.length block / W.bits) + 1 in
+  let aligned = W.pack block in
+  let table = Array.make (W.bits * stride) 0 in
+  for r = 0 to W.bits - 1 do
     for q = 0 to stride - 1 do
-      table.((r * stride) + q) <-
-        ((aligned.(q) lsr r) lor (aligned.(q + 1) lsl (word_bits - r))) land mask
+      table.((r * stride) + q) <- W.window aligned ((q * W.bits) + r)
     done
   done;
   (table, stride)
 
-(* SWAR popcount of a nonnegative 62-bit int. *)
-let[@inline] popcount x =
-  let x = x - ((x lsr 1) land 0x1555555555555555) in
-  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
-  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
-  ((x * 0x0101010101010101) lsr 56) land 0x7F
-
 let t5_autocorrelation (block : bool array) =
   check_block "t5_autocorrelation" block;
   let half = 10000 and span = 5000 in
+  let module W = Ptrng_trng.Bitwords in
   let table, stride = shifted_words block in
-  let start p = ((p mod word_bits) * stride) + (p / word_bits) in
-  let full = span / word_bits and tail = (1 lsl (span mod word_bits)) - 1 in
+  let start p = ((p mod W.bits) * stride) + (p / W.bits) in
+  let full = span / W.bits and tail = (1 lsl (span mod W.bits)) - 1 in
   (* Z_tau: disagreements between bits offset+j and offset+j+tau,
      j = 0..4999. *)
   let z_tau offset tau =
     let a = start offset and b = start (offset + tau) in
     let acc = ref 0 in
     for k = 0 to full - 1 do
-      acc := !acc + popcount (table.(a + k) lxor table.(b + k))
+      acc := !acc + W.popcount (table.(a + k) lxor table.(b + k))
     done;
-    !acc + popcount ((table.(a + full) lxor table.(b + full)) land tail)
+    !acc + W.popcount ((table.(a + full) lxor table.(b + full)) land tail)
   in
   (* Select tau on the first half: maximise |Z_tau - 2500| over
      tau = 1..5000, computed on bits 0..9999. *)

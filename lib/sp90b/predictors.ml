@@ -120,20 +120,47 @@ let multi_mcw (bits : bool array) =
 
 (* --- Lag ------------------------------------------------------------ *)
 
+(* Lags are scored a block of 62 bits at a time: [agree.(j)] has bit k
+   set when bit i0+k equals bit i0+k-(j+1).  The top score never
+   drops, so a lag whose score cannot reach it by the end of the block
+   cannot lead anywhere in the block: it gets the whole block's
+   agreements at once, and only the others are scored bit by bit. *)
 let lag ?(max_lag = 128) (bits : bool array) =
   if max_lag < 1 then invalid_arg "Predictors.lag: max_lag < 1";
   if Array.length bits < max 1000 (2 * max_lag) then
     invalid_arg "Predictors.lag: need >= 1000 bits";
+  let module W = Ptrng_trng.Bitwords in
+  let n = Array.length bits in
+  let words = W.pack bits in
   let scoreboard = Array.make max_lag 0 in
+  let agree = Array.make max_lag 0 in
+  (* Lags still in the running in the current block, in lag order. *)
+  let contenders = Array.make max_lag 0 and n_contenders = ref 0 in
   (* The first lag with the top score, kept up to date by [update]. *)
   let best = ref 0 in
   let predict i = Bool.to_int bits.(i - (!best + 1)) in
-  let update i =
-    let b = Bool.to_int bits.(i) in
-    let top = ref 0 in
+  let start_block i0 =
+    let live = (1 lsl min W.bits (n - i0)) - 1 in
+    let now = W.window words i0 and top = scoreboard.(!best) in
+    n_contenders := 0;
     for j = 0 to max_lag - 1 do
-      (* Branch-free: on random bits the agreement is a coin flip. *)
-      let score = scoreboard.(j) + 1 - (Bool.to_int bits.(i - (j + 1)) lxor b) in
+      let a = lnot (W.window words (i0 - (j + 1)) lxor now) land live in
+      let gain = W.popcount a in
+      if scoreboard.(j) + gain >= top then begin
+        agree.(j) <- a;
+        contenders.(!n_contenders) <- j;
+        incr n_contenders
+      end
+      else scoreboard.(j) <- scoreboard.(j) + gain
+    done
+  in
+  let update i =
+    let k = (i - max_lag) mod W.bits in
+    if k = 0 then start_block i;
+    let top = ref contenders.(0) in
+    for c = 0 to !n_contenders - 1 do
+      let j = contenders.(c) in
+      let score = scoreboard.(j) + ((agree.(j) lsr k) land 1) in
       scoreboard.(j) <- score;
       if score > scoreboard.(!top) then top := j
     done;

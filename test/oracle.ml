@@ -1,7 +1,8 @@
 (* Reference implementations of the assessment kernels, kept as they
    were before the dense rewrite: hash tables keyed by packed contexts,
-   contexts rebuilt bit by bit, a Berlekamp-Massey that copies its
-   connection polynomial, T5 by direct comparison.  Slow but obviously
+   contexts rebuilt bit by bit, every lag scored at every bit, a
+   Berlekamp-Massey that copies its connection polynomial, T5 by direct
+   comparison.  Slow but obviously
    faithful to the standards' text; the property tests check the
    library's kernels against them on random inputs. *)
 
@@ -77,6 +78,22 @@ let run_predictor ~name ~start (bits : bool array) predict update =
     update i
   done;
   score ~name ~correct:!correct ~n:!made ~longest_run:!longest
+
+let lag ?(max_lag = 128) (bits : bool array) =
+  let scoreboard = Array.make max_lag 0 in
+  let predict i =
+    let best = ref 0 in
+    for j = 1 to max_lag - 1 do
+      if scoreboard.(j) > scoreboard.(!best) then best := j
+    done;
+    Some bits.(i - (!best + 1))
+  in
+  let update i =
+    for j = 0 to max_lag - 1 do
+      if bits.(i - (j + 1)) = bits.(i) then scoreboard.(j) <- scoreboard.(j) + 1
+    done
+  in
+  run_predictor ~name:"lag" ~start:max_lag bits predict update
 
 (* Bits i-d .. i-1 packed behind a leading marker bit. *)
 let context (bits : bool array) d i =

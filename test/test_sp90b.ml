@@ -269,13 +269,25 @@ let oracle_tests =
          let bits = Oracle.bits_of src in
          same "multi_mmc" (Oracle.multi_mmc ~max_order bits)
            (Predictors.multi_mmc ~max_order bits)));
+    (let gen, print = with_param (QCheck2.Gen.int_range 1 200) string_of_int in
+     Testkit.qcheck ~count:40 ~seed:0x7006 ~print "lag == oracle, max_lag in [1, 200]" gen
+       (fun (src, max_lag) ->
+         let bits = Oracle.bits_of src in
+         same "lag" (Oracle.lag ~max_lag bits) (Predictors.lag ~max_lag bits)));
     Testkit.qcheck ~count:30 ~seed:0x7003 ~print:Oracle.print_source "lz78y == oracle"
       (Oracle.gen_source ~min_len:1000 ~max_len:6000)
       (fun src ->
         let bits = Oracle.bits_of src in
         same "lz78y" (fst (Oracle.lz78y bits)) (Predictors.lz78y bits));
     Testkit.case "lz78y == oracle past the dictionary cap" (fun () ->
-        let bits = random_bits ~seed:0x7004L 40000 in
+        (* Random bits fill the dictionary; the periodic tail then
+           brings contexts that only an uncapped dictionary would
+           learn, so the cap decides the estimate. *)
+        let pattern = random_bits ~seed:0x7005L 257 in
+        let bits =
+          Array.append (random_bits ~seed:0x7004L 30000)
+            (Array.init 20000 (fun i -> pattern.(i mod 257)))
+        in
         let expected, entries = Oracle.lz78y bits in
         Alcotest.(check int) "dictionary full" Oracle.lz78y_max_entries entries;
         Testkit.check_true "same estimate" (expected = Predictors.lz78y bits));
