@@ -471,20 +471,21 @@ let non_overlapping_template ?(template = default_template) bits =
     *. ((1.0 /. (2.0 ** float_of_int m))
        -. ((2.0 *. float_of_int m -. 1.0) /. (2.0 ** float_of_int (2 * m))))
   in
+  (* Window i matches when its rolling m-bit key equals the template's;
+     a match moves the next allowed start m bits on. *)
+  let mask = (1 lsl m) - 1 in
+  let target = Array.fold_left (fun k b -> (k lsl 1) lor Bool.to_int b) 0 template in
   let chi2 = ref 0.0 in
   for b = 0 to blocks - 1 do
-    let count = ref 0 in
-    let i = ref 0 in
-    while !i <= block_len - m do
-      let matches = ref true in
-      for j = 0 to m - 1 do
-        if bits.((b * block_len) + !i + j) <> template.(j) then matches := false
-      done;
-      if !matches then begin
+    let base = b * block_len in
+    let count = ref 0 and next = ref 0 and key = ref 0 in
+    for p = 0 to block_len - 1 do
+      key := ((!key lsl 1) lor Bool.to_int bits.(base + p)) land mask;
+      let i = p - m + 1 in
+      if i >= !next && !key = target then begin
         incr count;
-        i := !i + m
+        next := i + m
       end
-      else incr i
     done;
     let d = float_of_int !count -. mu in
     chi2 := !chi2 +. (d *. d /. sigma2)
@@ -501,13 +502,12 @@ let overlapping_template bits =
   let pis = [| 0.364091; 0.185659; 0.139381; 0.100571; 0.070432; 0.139866 |] in
   let counts = Array.make 6 0 in
   for b = 0 to blocks - 1 do
-    let hits = ref 0 in
-    for i = 0 to block_len - m do
-      let all_ones = ref true in
-      for j = 0 to m - 1 do
-        if not bits.((b * block_len) + i + j) then all_ones := false
-      done;
-      if !all_ones then incr hits
+    (* Window i is all ones when the run of ones ending at its last bit
+       is at least m long. *)
+    let hits = ref 0 and run = ref 0 in
+    for p = 0 to block_len - 1 do
+      run := (!run + 1) * Bool.to_int bits.((b * block_len) + p);
+      if !run >= m then incr hits
     done;
     counts.(min 5 !hits) <- counts.(min 5 !hits) + 1
   done;
@@ -521,21 +521,32 @@ let overlapping_template bits =
     counts;
   finish ~name:"overlapping-template" ~statistic:!chi2 (gamma_q 2.5 (!chi2 /. 2.0))
 
-(* Decompose the +-1 walk into zero-to-zero cycles. *)
-let walk_cycles bits =
-  let n = Array.length bits in
-  let s = ref 0 in
-  let cycles = ref [] in
-  let current = ref [ 0 ] in
-  for i = 0 to n - 1 do
-    s := !s + (if bits.(i) then 1 else -1);
-    current := !s :: !current;
+(* One pass over the +-1 walk.  Returns the number of zero-to-zero
+   cycles; [per_cycle.((x + 4) * 6 + k)], how many cycles visit state
+   x in -4..4 exactly k times (k = 5: five or more); and
+   [total.(x + 9)], the visits to state x in -9..9 within those cycles.
+   A last stretch that never returns to zero is no cycle. *)
+let excursions (bits : bool array) =
+  let current = Array.make 19 0 and total = Array.make 19 0 in
+  let per_cycle = Array.make (9 * 6) 0 in
+  let cycles = ref 0 and s = ref 0 in
+  for i = 0 to Array.length bits - 1 do
+    s := !s + (2 * Bool.to_int bits.(i)) - 1;
     if !s = 0 then begin
-      cycles := Array.of_list (List.rev !current) :: !cycles;
-      current := [ 0 ]
+      incr cycles;
+      for x = -9 to 9 do
+        let v = current.(x + 9) in
+        total.(x + 9) <- total.(x + 9) + v;
+        if abs x <= 4 then begin
+          let k = ((x + 4) * 6) + min 5 v in
+          per_cycle.(k) <- per_cycle.(k) + 1
+        end;
+        current.(x + 9) <- 0
+      done
     end
+    else if abs !s <= 9 then current.(!s + 9) <- current.(!s + 9) + 1
   done;
-  List.rev !cycles
+  (!cycles, per_cycle, total)
 
 (* pi_k(x): probability of k visits to state x within one cycle. *)
 let excursion_pi k x =
@@ -553,27 +564,19 @@ let excursion_pi k x =
 let min_cycles = 100
 
 let random_excursions bits =
-  let cycles = walk_cycles bits in
-  let j = List.length cycles in
+  let j, per_cycle, _ = excursions bits in
   if j < min_cycles then []
   else begin
     let states = [ -4; -3; -2; -1; 1; 2; 3; 4 ] in
     List.map
       (fun x ->
-        let counts = Array.make 6 0 in
-        List.iter
-          (fun cycle ->
-            let visits = Array.fold_left (fun a v -> if v = x then a + 1 else a) 0 cycle in
-            counts.(min 5 visits) <- counts.(min 5 visits) + 1)
-          cycles;
         let fj = float_of_int j in
         let chi2 = ref 0.0 in
-        Array.iteri
-          (fun k c ->
-            let e = fj *. excursion_pi k x in
-            let d = float_of_int c -. e in
-            chi2 := !chi2 +. (d *. d /. e))
-          counts;
+        for k = 0 to 5 do
+          let e = fj *. excursion_pi k x in
+          let d = float_of_int per_cycle.(((x + 4) * 6) + k) -. e in
+          chi2 := !chi2 +. (d *. d /. e)
+        done;
         finish
           ~name:(Printf.sprintf "random-excursions (x=%+d)" x)
           ~statistic:!chi2
@@ -582,25 +585,15 @@ let random_excursions bits =
   end
 
 let random_excursions_variant bits =
-  let cycles = walk_cycles bits in
-  let j = List.length cycles in
+  let j, _, total = excursions bits in
   if j < min_cycles then []
   else begin
-    let visits = Hashtbl.create 32 in
-    List.iter
-      (fun cycle ->
-        Array.iter
-          (fun v ->
-            if v <> 0 then
-              Hashtbl.replace visits v (1 + Option.value ~default:0 (Hashtbl.find_opt visits v)))
-          cycle)
-      cycles;
     let fj = float_of_int j in
     List.filter_map
       (fun x ->
         if x = 0 then None
         else begin
-          let xi = float_of_int (Option.value ~default:0 (Hashtbl.find_opt visits x)) in
+          let xi = float_of_int total.(x + 9) in
           let denom = sqrt (2.0 *. fj *. ((4.0 *. float_of_int (abs x)) -. 2.0)) in
           Some
             (finish

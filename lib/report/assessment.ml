@@ -33,8 +33,8 @@ let evaluate ?(claimed_entropy = 0.997) stream =
   let bits = Ptrng_trng.Bitstream.to_bools stream in
   (* Every family only reads [bits], so they run as one pool section.
      Each task fills its own slot; the tasks are listed costliest first
-     so the long ones start early, and each predictor, the costliest
-     family, is a task of its own. *)
+     (as timed on 2^17 fair bits) so the long ones start early, and each
+     predictor is a task of its own. *)
   let module P = Ptrng_sp90b.Predictors in
   let ais31_a = ref None and ais31_b = ref None and nist = ref [] in
   let sp90b = ref ([], 1.0) and health = ref (0, 0) in
@@ -43,14 +43,14 @@ let evaluate ?(claimed_entropy = 0.997) stream =
   let tasks =
     [|
       (fun () -> nist := Ptrng_nist22.Sp80022.run_all bits);
-      predict lag (fun bits -> P.lag bits);
       predict lz78y P.lz78y;
+      predict mmc (fun bits -> P.multi_mmc bits);
       (fun () ->
         if n >= Ptrng_ais31.Procedure_a.block_bits then
           ais31_a := Some (Ptrng_ais31.Procedure_a.run stream));
-      predict mmc (fun bits -> P.multi_mmc bits);
       (fun () -> sp90b := Ptrng_sp90b.Estimators.run_all bits);
       predict mcw P.multi_mcw;
+      predict lag (fun bits -> P.lag bits);
       (fun () -> ais31_b := Some (Ptrng_ais31.Procedure_b.run stream));
       (fun () ->
         health :=
