@@ -338,14 +338,14 @@ let maurer_universal bits =
   finish ~name:"maurer-universal" ~statistic:fn
     (erfc (Float.abs (fn -. expected) /. (sqrt2 *. sigma)))
 
-(* Berlekamp-Massey over GF(2) on bit-packed polynomials: 62 bits per
-   int, coefficient j at bit [j mod 62] of word [j / 62]. *)
-let bm_word = 62
-let bm_mask = (1 lsl bm_word) - 1
+(* Berlekamp-Massey over GF(2) on polynomials packed like
+   [Ptrng_trng.Bitwords]: coefficient j at bit [j mod 62] of word
+   [j / 62]. *)
+module W = Ptrng_trng.Bitwords
 
-(* Scratch words for a [len]-bit block: the coefficients, two spare
+(* Scratch words for a [len]-bit block: the coefficients, and spare
    words for shifted reads and writes past the last one. *)
-let bm_words len = (len / bm_word) + 3
+let bm_words len = (len / W.bits) + 3
 
 let parity x =
   let x = x lxor (x lsr 32) in
@@ -370,35 +370,30 @@ let bm_kernel ~r ~c ~b ~t (bits : bool array) ~pos ~len =
   Array.fill c 0 words 0;
   Array.fill b 0 words 0;
   for k = 0 to len - 1 do
-    if bits.(pos + len - 1 - k) then begin
-      let q = k / bm_word in
-      r.(q) <- r.(q) lor (1 lsl (k mod bm_word))
-    end
+    let q = k / W.bits in
+    r.(q) <- r.(q) lor (Bool.to_int bits.(pos + len - 1 - k) lsl (k mod W.bits))
   done;
   c.(0) <- 1;
   b.(0) <- 1;
   let l = ref 0 and l_b = ref 0 and m = ref (-1) in
   for i = 0 to len - 1 do
-    (* Word w of the window starts at bit len-1-i + 62 w of [r]. *)
-    let q = (len - 1 - i) / bm_word and s = (len - 1 - i) mod bm_word in
     let d = ref 0 in
-    for w = 0 to !l / bm_word do
-      let x = ((r.(q + w) lsr s) lor (r.(q + w + 1) lsl (bm_word - s))) land bm_mask in
-      d := !d lxor (c.(w) land x)
+    for w = 0 to !l / W.bits do
+      d := !d lxor (c.(w) land W.window r (len - 1 - i + (w * W.bits)))
     done;
     if parity !d = 1 then begin
       (* C <- C + x^(i-m) B *)
       let shift = i - !m in
-      let q = shift / bm_word and s = shift mod bm_word in
+      let q = shift / W.bits and s = shift mod W.bits in
       let grow = 2 * !l <= i in
-      if grow then Array.blit c 0 t 0 ((!l / bm_word) + 1);
-      for w = 0 to !l_b / bm_word do
+      if grow then Array.blit c 0 t 0 ((!l / W.bits) + 1);
+      for w = 0 to !l_b / W.bits do
         let v = b.(w) in
-        c.(w + q) <- c.(w + q) lxor ((v lsl s) land bm_mask);
-        c.(w + q + 1) <- c.(w + q + 1) lxor (v lsr (bm_word - s))
+        c.(w + q) <- c.(w + q) lxor ((v lsl s) land W.mask);
+        c.(w + q + 1) <- c.(w + q + 1) lxor (v lsr (W.bits - s))
       done;
       if grow then begin
-        Array.blit t 0 b 0 ((!l / bm_word) + 1);
+        Array.blit t 0 b 0 ((!l / W.bits) + 1);
         l_b := !l;
         l := i + 1 - !l;
         m := i
