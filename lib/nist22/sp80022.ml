@@ -361,7 +361,8 @@ let parity x =
    with C's coefficients 0..L are one contiguous window of [r].  [c] is
    the connection polynomial, [b] the one before the last length change
    and [t] the copy of [c] that becomes [b].  Each holds [bm_words len]
-   words and is cleared here, so one set serves every block.
+   words; [r], [c] and [b] are cleared here and [t] is written before
+   it is read, so one set serves every block.
    deg C <= L and deg B <= L_B (the length when B was saved), so each
    step touches L / 62 + 1 words of [c] and L_B / 62 + 2 of [b]. *)
 let bm_kernel ~r ~c ~b ~t (bits : bool array) ~pos ~len =

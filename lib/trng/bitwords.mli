@@ -9,12 +9,12 @@ val mask : int
 (** [2^62 - 1]. *)
 
 val pack : bool array -> int array
-(** The packed words, followed by two zero words so {!window} may read
-    up to 124 bits past the end. *)
+(** The packed words, followed by at least two zero words. *)
 
 val window : int array -> int -> int
 (** [window words p] is bits [p .. p+61] of the packed array, bit [p]
-    lowest.  [p] must be nonnegative and at most the input length. *)
+    lowest.  On an array from {!pack}, [p] may be anything from 0 to
+    61 past the input length. *)
 
 val popcount : int -> int
 (** Number of set bits of a nonnegative int below [2^62]. *)
