@@ -632,6 +632,74 @@ let parity_tests =
                   (paper_cfg `Spectral) ~restarts:16 ~n:2048)));
     ]
 
+(* Streamed pair pins: fills of 5000 periods over 4096-period spectral
+   blocks, so most fills straddle a block boundary and some enter a new
+   block on both rings at once. *)
+let stream_periods st ~fills ~len =
+  let b1 = FA.create len and b2 = FA.create len in
+  let out1 = Array.make (fills * len) 0.0 and out2 = Array.make (fills * len) 0.0 in
+  for f = 0 to fills - 1 do
+    Pair.fill st ~p1:b1 ~p2:b2 ~len;
+    for i = 0 to len - 1 do
+      out1.((f * len) + i) <- FA.get b1 i;
+      out2.((f * len) + i) <- FA.get b2 i
+    done
+  done;
+  [ out1; out2 ]
+
+let stream_pins =
+  let quench =
+    match Ptrng_scenario.Registry.find "thermal-quench" with
+    | Some e -> e.Ptrng_scenario.Registry.scenario
+    | None -> failwith "scenario registry has no thermal-quench entry"
+  in
+  [
+    pin "Pair.fill straddling blocks" "c4733b32ad17b85b4ca6b434477d6b54" (fun () ->
+        let st =
+          Pair.stream ~flicker_block:4096 (Testkit.rng ~seed:520L ())
+            (Pair.paper_pair ())
+        in
+        digest_floats (stream_periods st ~fills:5 ~len:5000));
+    pin "Pair.skip then fill" "1abb823659fc0f302bbcb4e2b00b4f04" (fun () ->
+        let st =
+          Pair.stream ~flicker_block:4096 (Testkit.rng ~seed:521L ())
+            (Pair.paper_pair ())
+        in
+        Pair.skip st 10_000;
+        digest_floats (stream_periods st ~fills:3 ~len:5000));
+    pin "thermal-quench stream across blocks" "8f8e6267d24f112e762b70587b6f5c03" (fun () ->
+        (* Start one block before the fault onset and read across it. *)
+        let st =
+          Pair.stream ~flicker_block:4096 ~scenario:quench
+            (Testkit.rng ~seed:522L ()) (Pair.paper_pair ())
+        in
+        Pair.skip st (Ptrng_scenario.Registry.fault_onset - 4096);
+        digest_floats (stream_periods st ~fills:4 ~len:5000));
+    pin "Multilevel.characterize, 2^16 periods" "9964bfc43464e472a6c8efa234ca3eba" (fun () ->
+        let module Ml = Ptrng_model.Multilevel in
+        let a =
+          Ml.characterize ~n_periods:(1 lsl 16) ~rng:(Testkit.rng ~seed:523L ())
+            (Pair.paper_pair ())
+        in
+        let curve pts =
+          Array.concat
+            (List.map
+               (fun (p : Vc.point) ->
+                 [| float_of_int p.n; p.sigma2; p.scaled; p.stderr |])
+               (Array.to_list pts))
+        in
+        let fit (f : Fit.t) = [| f.a; f.a_se; f.b; f.b_se; f.c; f.d; f.chi2 |] in
+        let g, g_se = a.growth_exponent in
+        digest_floats
+          [
+            curve a.ideal_curve;
+            curve a.counter_curve;
+            fit a.fit;
+            (match a.counter_fit with Some f -> fit f | None -> [||]);
+            [| g; g_se |];
+          ]);
+  ]
+
 let () =
   Alcotest.run "streaming"
     [
@@ -644,4 +712,5 @@ let () =
       ("oscillator", oscillator_tests);
       ("accumulators", acc_tests);
       ("parity", parity_tests);
+      ("stream-pins", stream_pins);
     ]
