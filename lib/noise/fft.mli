@@ -3,8 +3,9 @@
 
     Same butterfly algorithm as [Ptrng_signal.Fft] (bit-identical
     output for identical input), but operating in place on caller-owned
-    floatarray scratch so long-running noise sources allocate nothing
-    per block.  See docs/STREAMING.md for the overlap-add design. *)
+    floatarray buffers and twiddle table, so long-running noise sources
+    allocate nothing per block.  See docs/STREAMING.md for the
+    overlap-add design. *)
 
 val is_pow2 : int -> bool
 (** Whether [n] is a positive power of two. *)
@@ -12,13 +13,40 @@ val is_pow2 : int -> bool
 val next_pow2 : int -> int
 (** Smallest power of two [>= n] (and [>= 1]). *)
 
-val forward_pow2 : re:Float.Array.t -> im:Float.Array.t -> unit
+type twiddles
+(** Twiddle-table scratch for {!forward} and {!inverse}.  One table
+    belongs to one caller (a noise source, an {!Overlap_add} convolver)
+    and is overwritten by every transform, so two domains must never
+    share one. *)
+
+val twiddles : ?max_half:int -> int -> twiddles
+(** [twiddles n] allocates the table for transforms of length up to
+    [n]: [min (n/2) max_half] entries per component, [max_half]
+    defaulting to 4096 (64 KiB for both components).  [~max_half:0]
+    gives an empty table, which runs every stage grouped.
+    @raise Invalid_argument if [max_half < 0]. *)
+
+val forward : twiddles -> re:Float.Array.t -> im:Float.Array.t -> unit
 (** In-place forward DFT of a power-of-two complex buffer pair.
+
+    The kernel: bit-reversal permutation, then radix-2 butterfly stages
+    of span 2, 4, ..., n.  A stage's twiddles w_k follow a
+    multiplicative recurrence re-anchored by cos/sin every 64 steps.  A
+    stage whose half-length fits the table runs the recurrence once
+    into the table and then sweeps its groups; a longer stage restarts
+    the same recurrence at every group.  Both orders compute every w_k
+    by the same float operations, so the result does not depend on the
+    table size and equals [Ptrng_signal.Fft.forward_pow2] bit for bit.
+
+    No allocation: the transform works in place in [re], [im] and the
+    table.
     @raise Invalid_argument on length mismatch or non-power-of-two. *)
 
-val inverse_pow2 : re:Float.Array.t -> im:Float.Array.t -> unit
+val inverse : twiddles -> re:Float.Array.t -> im:Float.Array.t -> unit
 (** In-place inverse DFT including the 1/n scaling, so
-    [inverse_pow2 (forward_pow2 x)] returns [x] up to rounding. *)
+    [inverse tw (forward tw x)] returns [x] up to rounding; the same
+    kernel and contract as {!forward}, bit-identical to
+    [Ptrng_signal.Fft.inverse_pow2]. *)
 
 (** Streaming linear convolution with a fixed FIR filter by the
     overlap-add method: each input block is convolved via one
@@ -28,7 +56,8 @@ val inverse_pow2 : re:Float.Array.t -> im:Float.Array.t -> unit
     per sample and O(m) memory, independent of stream length. *)
 module Overlap_add : sig
   type t
-  (** Convolver state: filter spectrum, FFT scratch and carried tail. *)
+  (** Convolver state: filter spectrum, FFT buffers, twiddle table and
+      carried tail. *)
 
   val create : h:Float.Array.t -> block:int -> t
   (** [create ~h ~block] precomputes the spectrum of filter [h] for

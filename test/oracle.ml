@@ -4,7 +4,9 @@
    Berlekamp-Massey that copies its connection polynomial, T5 by direct
    comparison.  Slow but obviously
    faithful to the standards' text; the property tests check the
-   library's kernels against them on random inputs. *)
+   library's kernels against them on random inputs.  The noise FFT's
+   grouped-twiddle stage loop, as it was before the twiddle table, is
+   kept at the end on the same terms. *)
 
 module Est = Ptrng_sp90b.Estimators
 
@@ -281,3 +283,65 @@ let bits_of s =
   | `Periodic ->
     let pattern = Array.init (1 + Ptrng_prng.Rng.int_below rng 40) (fun _ -> draw ()) in
     Array.init s.n (fun i -> pattern.(i mod Array.length pattern))
+
+(* --- Noise FFT, every stage grouped ----------------------------------- *)
+
+(* Each stage restarts its twiddle recurrence, and its re-anchoring
+   cos/sin, at the top of every group. *)
+let fft_grouped ~sign re im =
+  let module FA = Float.Array in
+  let n = FA.length re in
+  let j = ref 0 in
+  for i = 0 to n - 2 do
+    if i < !j then begin
+      let tr = FA.get re i and ti = FA.get im i in
+      FA.set re i (FA.get re !j);
+      FA.set re !j tr;
+      FA.set im i (FA.get im !j);
+      FA.set im !j ti
+    end;
+    let bit = ref (n lsr 1) in
+    while !j land !bit <> 0 do
+      j := !j lxor !bit;
+      bit := !bit lsr 1
+    done;
+    j := !j lor !bit
+  done;
+  let len = ref 2 in
+  while !len <= n do
+    let half = !len / 2 in
+    let ang = sign *. 2.0 *. Float.pi /. float_of_int !len in
+    let step_r = cos ang and step_i = sin ang in
+    let i = ref 0 in
+    while !i < n do
+      let wr = ref 1.0 and wi = ref 0.0 in
+      for k = 0 to half - 1 do
+        if k land 63 = 0 then begin
+          let a = ang *. float_of_int k in
+          wr := cos a;
+          wi := sin a
+        end;
+        let p = !i + k in
+        let q = p + half in
+        let vr = (FA.get re q *. !wr) -. (FA.get im q *. !wi) in
+        let vi = (FA.get re q *. !wi) +. (FA.get im q *. !wr) in
+        let rp = FA.get re p and ip = FA.get im p in
+        FA.set re q (rp -. vr);
+        FA.set im q (ip -. vi);
+        FA.set re p (rp +. vr);
+        FA.set im p (ip +. vi);
+        let nwr = (!wr *. step_r) -. (!wi *. step_i) in
+        wi := (!wr *. step_i) +. (!wi *. step_r);
+        wr := nwr
+      done;
+      i := !i + !len
+    done;
+    len := !len * 2
+  done;
+  if sign > 0.0 then begin
+    let inv = 1.0 /. float_of_int n in
+    for i = 0 to n - 1 do
+      FA.set re i (FA.get re i *. inv);
+      FA.set im i (FA.get im i *. inv)
+    done
+  end

@@ -197,24 +197,59 @@ let kasdin_tests =
 
 let fft_tests =
   [
-    Testkit.case "floatarray FFT == signal FFT bit for bit" (fun () ->
-        let n = 1024 in
+    Testkit.case "floatarray FFT == signal FFT bit for bit, n = 2 .. 2^17"
+      (fun () ->
+        (* Up to 2^17 the default table serves the stages of half-length
+           up to 4096 and the longer ones run grouped. *)
         let rng = Testkit.rng ~seed:77L () in
-        let re = Array.init n (fun _ -> Rng.float rng -. 0.5) in
-        let im = Array.init n (fun _ -> Rng.float rng -. 0.5) in
-        let fre = FA.init n (fun i -> re.(i)) in
-        let fim = FA.init n (fun i -> im.(i)) in
-        Ptrng_signal.Fft.forward_pow2 ~re ~im;
-        Fft.forward_pow2 ~re:fre ~im:fim;
-        for i = 0 to n - 1 do
-          Testkit.check_true "re" (Float.equal re.(i) (FA.get fre i));
-          Testkit.check_true "im" (Float.equal im.(i) (FA.get fim i))
-        done;
-        Ptrng_signal.Fft.inverse_pow2 ~re ~im;
-        Fft.inverse_pow2 ~re:fre ~im:fim;
-        for i = 0 to n - 1 do
-          Testkit.check_true "inv re" (Float.equal re.(i) (FA.get fre i))
+        let tw = Fft.twiddles (1 lsl 17) in
+        for log2n = 1 to 17 do
+          let n = 1 lsl log2n in
+          let re = Array.init n (fun _ -> Rng.float rng -. 0.5) in
+          let im = Array.init n (fun _ -> Rng.float rng -. 0.5) in
+          let fre = FA.init n (fun i -> re.(i)) in
+          let fim = FA.init n (fun i -> im.(i)) in
+          let bits = Int64.bits_of_float in
+          let same what =
+            for i = 0 to n - 1 do
+              if bits re.(i) <> bits (FA.get fre i) || bits im.(i) <> bits (FA.get fim i)
+              then Alcotest.failf "n = %d, %s: bin %d differs" n what i
+            done
+          in
+          Ptrng_signal.Fft.forward_pow2 ~re ~im;
+          Fft.forward tw ~re:fre ~im:fim;
+          same "forward";
+          Ptrng_signal.Fft.inverse_pow2 ~re ~im;
+          Fft.inverse tw ~re:fre ~im:fim;
+          same "inverse"
         done);
+    Testkit.qcheck ~count:60 ~seed:0xF17
+      ~print:QCheck2.Print.(triple int int int)
+      "table FFT == grouped-twiddle oracle, any table size"
+      QCheck2.Gen.(triple (int_range 0 13) (int_range 0 9000) (int_bound 1_000_000))
+      (fun (log2n, max_half, seed) ->
+        let n = 1 lsl log2n in
+        let rng = Testkit.rng ~seed:(Int64.of_int seed) () in
+        let re = FA.init n (fun _ -> Rng.float rng -. 0.5) in
+        let im = FA.init n (fun _ -> Rng.float rng -. 0.5) in
+        let ore = FA.copy re and oim = FA.copy im in
+        let tw = Fft.twiddles ~max_half n in
+        let bits x = Int64.bits_of_float x in
+        let equal () =
+          let ok = ref true in
+          for i = 0 to n - 1 do
+            if bits (FA.get re i) <> bits (FA.get ore i)
+               || bits (FA.get im i) <> bits (FA.get oim i)
+            then ok := false
+          done;
+          !ok
+        in
+        Fft.forward tw ~re ~im;
+        Oracle.fft_grouped ~sign:(-1.0) ore oim;
+        let forward_ok = equal () in
+        Fft.inverse tw ~re ~im;
+        Oracle.fft_grouped ~sign:1.0 ore oim;
+        forward_ok && equal ());
     Testkit.case "overlap-add == direct convolution" (fun () ->
         let taps = 37 and total = 1000 in
         let rng = Testkit.rng ~seed:15L () in
