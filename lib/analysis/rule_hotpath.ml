@@ -56,6 +56,7 @@ let default_manifest =
     entries =
       [
         "Ptrng_noise.Source.fill";
+        "Ptrng_noise.Spectral_synth.fill_block";
         "Ptrng_osc.Pair.fill";
         "Ptrng_prng.Gaussian.fill_fa";
         "Ptrng_monitor.Rn_estimator.feed_many";
@@ -91,10 +92,13 @@ let default_manifest =
         ( "Ptrng_prng.Gaussian.create",
           "constructs the per-chunk sampler state next to Rng.child; \
            same chunk-boundary amortization" );
-        ( "Ptrng_noise.Spectral_synth.generate_with_root",
-          "per-block spectral synthesis: scratch spectrum arrays, FFT \
-           and child-stream setup run once per block (thousands of \
-           samples), bounded by the bench words/sample gate" );
+        ( "Ptrng_noise.Source.sync_blocks",
+          "the block section: synthesizes a spectral block once per \
+           block (thousands of periods), in a 2-task pool section that \
+           spawns a domain when a pair's two rings enter blocks \
+           together, and allocates a source's scratch with its first \
+           block; the kernel it runs, Spectral_synth.fill_block, is a \
+           manifest entry of its own" );
       ];
   }
 

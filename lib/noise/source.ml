@@ -17,9 +17,11 @@
      overlap-add engine — O(log m) per sample, O(m) memory, any stream
      length.
    - Spectral: the stream is a sequence of fixed-size synthesized
-     blocks; block b is rebuilt on demand from a salted per-block root,
-     so random access (skip) costs at most one block synthesis. *)
+     blocks; block b is rebuilt on demand from a salted per-block root
+     into scratch the source holds from creation, so random access
+     (skip) costs at most one block synthesis and no allocation. *)
 
+module Pool = Ptrng_exec.Pool
 module Rng = Ptrng_prng.Rng
 module Gaussian = Ptrng_prng.Gaussian
 module FA = Float.Array
@@ -137,7 +139,8 @@ type spectral_state = {
   s_psd : float -> float;
   s_fs : float;
   s_block : int;
-  mutable cur : float array;   (* synthesized block [block_index] *)
+  mutable blk : Spectral_synth.block option;
+      (* scratch holding block [block_index]; allocated with the first *)
   mutable block_index : int;   (* -1 = none yet *)
 }
 
@@ -163,15 +166,6 @@ let spectral_block_salt = 1 lsl 30
 
 let[@inline] spectral_block_root ~root b =
   if b = 0 then root else Rng.derive_seed root (spectral_block_salt + b)
-
-let spectral_sync st ~backend ~root b =
-  if b <> st.block_index then begin
-    st.cur <-
-      Spectral_synth.generate_with_root ~domains:1 ~backend
-        ~root:(spectral_block_root ~root b)
-        ~psd:st.s_psd ~fs:st.s_fs st.s_block;
-    st.block_index <- b
-  end
 
 let create config rng =
   let backend = Rng.backend rng in
@@ -200,7 +194,13 @@ let create config rng =
         }
     | CSpectral { psd; fs; block } ->
       ISpectral
-        { s_psd = psd; s_fs = fs; s_block = block; cur = [||]; block_index = -1 }
+        {
+          s_psd = psd;
+          s_fs = fs;
+          s_block = block;
+          blk = None;
+          block_index = -1;
+        }
   in
   { config; backend; root; pos = 0; impl }
 
@@ -208,10 +208,53 @@ let config t = t.config
 
 let position t = t.pos
 
+let block_room t =
+  match t.impl with
+  | ISpectral st -> st.s_block - (t.pos mod st.s_block)
+  | IWhite _ | IKasdin _ | IVoss _ -> max_int
+
+let block_pending t =
+  match t.impl with
+  | ISpectral st -> t.pos / st.s_block <> st.block_index
+  | IWhite _ | IKasdin _ | IVoss _ -> false
+
+(* Synthesize the block at [t]'s position.  The scratch is allocated
+   with the first block, so a source that is never filled never holds
+   one. *)
+let synthesize t =
+  match t.impl with
+  | ISpectral st ->
+    let blk =
+      match st.blk with
+      | Some blk -> blk
+      | None ->
+        let blk = Spectral_synth.block st.s_block in
+        st.blk <- Some blk;
+        blk
+    in
+    let b = t.pos / st.s_block in
+    Spectral_synth.fill_block blk ~backend:t.backend
+      ~root:(spectral_block_root ~root:t.root b)
+      ~psd:st.s_psd ~fs:st.s_fs;
+    st.block_index <- b
+  | IWhite _ | IKasdin _ | IVoss _ -> ()
+
+(* The block section: every spectral block is synthesized here, once
+   per block, and two sources' pending blocks in one 2-task pool
+   section. *)
+let sync_blocks a b =
+  let pa = block_pending a and pb = a != b && block_pending b in
+  if pa && pb then
+    Pool.run_tasks ~domains:(Pool.resolve ()) ~n_tasks:2 (fun i ->
+        synthesize (if i = 0 then a else b))
+  else if pa then synthesize a
+  else if pb then synthesize b
+
 let fill_range t dst ~pos ~len =
   if len < 0 || pos < 0 || pos + len > FA.length dst then
     invalid_arg "Source.fill_range: bad range";
   Ptrng_telemetry.Registry.Counter.add samples_total len;
+  let stop = t.pos + len in
   (match t.impl with
   | IWhite st ->
     white_fill st ~backend:t.backend ~root:t.root ~abs:t.pos ~dst ~dst_pos:pos
@@ -235,20 +278,20 @@ let fill_range t dst ~pos ~len =
       FA.unsafe_set dst j (sigma *. Voss.next st.v)
     done
   | ISpectral st ->
-    let abs = ref t.pos and i = ref pos and remaining = ref len in
-    while !remaining > 0 do
-      let b = !abs / st.s_block and off = !abs mod st.s_block in
-      spectral_sync st ~backend:t.backend ~root:t.root b;
-      let take = min !remaining (st.s_block - off) in
-      let cur = st.cur in
-      for j = 0 to take - 1 do
-        FA.unsafe_set dst (!i + j) (Array.unsafe_get cur (off + j))
-      done;
-      abs := !abs + take;
+    (* The position advances block by block, so the section syncs the
+       block the next sample falls in. *)
+    let i = ref pos in
+    while t.pos < stop do
+      sync_blocks t t;
+      let off = t.pos mod st.s_block in
+      let take = min (stop - t.pos) (st.s_block - off) in
+      (match st.blk with
+      | Some blk -> FA.blit (Spectral_synth.samples blk) off dst !i take
+      | None -> ());
       i := !i + take;
-      remaining := !remaining - take
+      t.pos <- t.pos + take
     done);
-  t.pos <- t.pos + len
+  t.pos <- stop
 
 let fill t dst = fill_range t dst ~pos:0 ~len:(FA.length dst)
 

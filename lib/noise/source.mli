@@ -10,8 +10,9 @@
 
     Buffer-ownership rule: the caller owns every buffer passed to
     {!fill}/{!fill_range}; the source never retains a reference to it.
-    Internal scratch (filter spectra, synthesis blocks) is allocated at
-    {!create} and reused for the life of the source.  See
+    Internal scratch (filter spectra, synthesis blocks) is allocated
+    once — at {!create}, or for a spectral source with its first block
+    — and reused for the life of the source.  See
     docs/STREAMING.md for the full contract.
 
     This is the only noise synthesis path: a whole trace is a stream
@@ -59,7 +60,10 @@ val spectral : ?block:int -> psd:(float -> float) -> fs:float -> unit -> config
     block can be resynthesized on demand from its salted per-block
     root, making {!skip} O(1) until the next fill.  Statistics probing
     lags beyond ~[block]/8 feel the per-block periodicity — pick
-    [block] comfortably above the longest correlation studied.
+    [block] comfortably above the longest correlation studied.  The
+    source holds one block of synthesis scratch
+    ({!Spectral_synth.block}: two [block]-float buffers plus draw and
+    twiddle scratch) from {!create} on.
     @raise Invalid_argument if [block] is not a power of two or
     [fs <= 0]. *)
 
@@ -89,6 +93,27 @@ val skip : t -> int -> unit
     spectral (blocks are resynthesized on demand); Voss and Kasdin
     must push the skipped span through their recurrences.
     @raise Invalid_argument if [n < 0]. *)
+
+val block_room : t -> int
+(** Samples from the current position to the end of its spectral
+    block; [max_int] for the other backends, which have no blocks. *)
+
+val block_pending : t -> bool
+(** Whether the next {!fill} of a spectral source starts by
+    synthesizing the block at the current position; always [false]
+    for the other backends. *)
+
+val sync_blocks : t -> t -> unit
+(** [sync_blocks a b] is the block section, where every spectral block
+    is synthesized: it synthesizes the block at the current position of
+    [a] and of [b] where it is not already held, the two in one 2-task
+    {!Ptrng_exec.Pool} section when both are pending and [a != b]
+    ({!Ptrng_exec.Pool.resolve}, so 1 domain inside a pool worker or
+    under [PTRNG_DOMAINS=1]).  {!fill} calls [sync_blocks t t] as it
+    enters each block; a caller streaming two sources in step calls it
+    first to synthesize both at once.  Neither stream changes: a block
+    is a pure function of its salted root, and each source owns its
+    scratch, which it allocates with its first block. *)
 
 val position : t -> int
 (** Samples delivered (or skipped) since creation or the last reset. *)

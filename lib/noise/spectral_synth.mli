@@ -39,15 +39,44 @@ val generate_with_root :
   float array
 (** [generate_with_root ~domains ~backend ~root ~psd ~fs n] is
     {!generate} with the root draw supplied explicitly instead of taken
-    from a live generator — the resynthesizable form used by {!Source}
-    to rebuild any block of a stream from its recorded root.
-    [domains] is a required, already-resolved worker count (the
-    streaming hot path passes [~domains:1]; an optional argument here
-    would allocate a [Some] per block).  The output is bit-identical
-    for every [domains] value.  [generate rng] is exactly
+    from a live generator: a copy-out of {!fill_block} on fresh
+    scratch.  [domains] is a required, already-resolved worker count;
+    above 1 the spectrum's bin chunks fill in parallel.  The output is
+    bit-identical for every [domains] value.  [generate rng] is exactly
     [generate_with_root ~domains:(Pool.resolve ()) ~backend:(backend
     rng) ~root:(bits64 rng)].  @raise Invalid_argument as
     {!generate}. *)
+
+type block
+(** Scratch for synthesizing [n]-sample blocks: the spectrum/sample
+    buffers [re] and [im], one bin chunk's Gaussian draws and an FFT
+    twiddle table, all [Float.Array.t].  A {!Source.spectral} stream
+    holds one for its whole life; two domains must not share one. *)
+
+val block : int -> block
+(** [block n] allocates the scratch for [n]-sample blocks,
+    uninitialised: two [n]-float buffers, a draw buffer of at most
+    8192 floats and a twiddle table of at most 2 x 4096.
+    @raise Invalid_argument if [n] is not a power of two. *)
+
+val fill_block :
+  block ->
+  backend:Ptrng_prng.Rng.backend ->
+  root:int64 ->
+  psd:(float -> float) ->
+  fs:float ->
+  unit
+(** [fill_block b ~backend ~root ~psd ~fs] synthesizes the block of
+    root [root] into [samples b], bit-identical to
+    [generate_with_root ~root]: bins in fixed chunks of 4096, chunk [i]
+    drawn from child stream [i] of the root, the Nyquist bin from the
+    child after the last chunk, then one inverse {!Fft.inverse}.  It
+    runs on the calling domain and allocates no array: apart from the
+    child generators set up once per chunk, everything lives in [b]
+    (the lint's R7 rule proves this). *)
+
+val samples : block -> Float.Array.t
+(** The samples of the last {!fill_block}; overwritten by the next. *)
 
 val generate_frac_freq :
   ?domains:int ->

@@ -99,17 +99,17 @@ let source ?(flicker_block = default_flicker_block) rng cfg =
 
 (* Option-free core: the streaming pair path calls this per segment,
    and a [?len] there would build a [Some] block per call (R7). *)
-let fill_periods_n src ~len buf =
-  if len < 0 || len > FA.length buf then
+let fill_periods_n src ~pos ~len buf =
+  if len < 0 || pos < 0 || pos + len > FA.length buf then
     invalid_arg "Oscillator.fill_periods: bad len";
   let t0 = src.s_t0 in
   (match src.thermal with
   | Some th ->
-    Source.fill_range th buf ~pos:0 ~len;
-    for i = 0 to len - 1 do
+    Source.fill_range th buf ~pos ~len;
+    for i = pos to pos + len - 1 do
       FA.unsafe_set buf i (t0 +. FA.unsafe_get buf i)
     done
-  | None -> FA.fill buf 0 len t0);
+  | None -> FA.fill buf pos len t0);
   (match src.flicker with
   | None -> ()
   | Some fl ->
@@ -117,7 +117,7 @@ let fill_periods_n src ~len buf =
     while !off < len do
       let seg = min flicker_seg (len - !off) in
       Source.fill_range fl src.fl_scratch ~pos:0 ~len:seg;
-      let base = !off in
+      let base = pos + !off in
       for j = 0 to seg - 1 do
         FA.unsafe_set buf (base + j)
           (FA.unsafe_get buf (base + j)
@@ -130,7 +130,7 @@ let fill_periods_n src ~len buf =
   | Some g ->
     let sigma_w = src.rw_sigma in
     let y = ref (FA.get src.rw_carry 0) in
-    for i = 0 to len - 1 do
+    for i = pos to pos + len - 1 do
       y := !y +. (sigma_w *. Ptrng_prng.Gaussian.draw g);
       FA.unsafe_set buf i (FA.unsafe_get buf i +. (t0 *. !y))
     done;
@@ -138,7 +138,7 @@ let fill_periods_n src ~len buf =
   src.s_pos <- src.s_pos + len
 
 let fill_periods src ?len buf =
-  fill_periods_n src
+  fill_periods_n src ~pos:0
     ~len:(match len with Some l -> l | None -> FA.length buf)
     buf
 
@@ -166,6 +166,22 @@ let fill_components src ~len ~thermal ~flicker =
 
 let source_position src = src.s_pos
 
+(* Only the flicker source has blocks: the thermal stream is white. *)
+let block_room src =
+  match src.flicker with Some fl -> Source.block_room fl | None -> max_int
+
+let block_pending src =
+  match src.flicker with Some fl -> Source.block_pending fl | None -> false
+
+let sync_blocks s1 s2 =
+  match s1.flicker with
+  | Some f1 -> (
+    match s2.flicker with
+    | Some f2 -> Source.sync_blocks f1 f2
+    | None -> Source.sync_blocks f1 f1)
+  | None -> (
+    match s2.flicker with Some f2 -> Source.sync_blocks f2 f2 | None -> ())
+
 (* A whole trace is the stream read with [flicker_block = n] (one
    spectral block spanning the trace), staged through a fixed segment
    so no second trace-length buffer is built. *)
@@ -177,7 +193,7 @@ let periods rng cfg ~n =
   let pos = ref 0 in
   while !pos < n do
     let len = min (FA.length seg) (n - !pos) in
-    fill_periods_n src ~len seg;
+    fill_periods_n src ~pos:0 ~len seg;
     for i = 0 to len - 1 do
       out.(!pos + i) <- FA.unsafe_get seg i
     done;

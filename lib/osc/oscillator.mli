@@ -73,10 +73,13 @@ val fill_periods : source -> ?len:int -> Float.Array.t -> unit
     length) simulated periods into [buf.(0 .. len-1)], seconds.
     @raise Invalid_argument if [len] exceeds the buffer length. *)
 
-val fill_periods_n : source -> len:int -> Float.Array.t -> unit
-(** {!fill_periods} with a required [len] — the allocation-free
-    spelling for per-segment callers (no [Some] built at the call
-    site); [fill_periods] is a thin wrapper over it. *)
+val fill_periods_n : source -> pos:int -> len:int -> Float.Array.t -> unit
+(** [fill_periods_n src ~pos ~len buf] writes the next [len] periods
+    into [buf.(pos .. pos+len-1)]: {!fill_periods} at an offset, with
+    a required [len] — the allocation-free spelling for per-segment
+    callers (no [Some] built at the call site); [fill_periods] is a
+    thin wrapper over it.
+    @raise Invalid_argument on a bad range. *)
 
 val fill_components :
   source -> len:int -> thermal:Float.Array.t -> flicker:Float.Array.t -> unit
@@ -105,6 +108,20 @@ val source_reset : source -> unit
 
 val source_position : source -> int
 (** Periods delivered (or skipped) so far. *)
+
+val block_room : source -> int
+(** Periods from the current position to the end of the flicker
+    source's spectral block ({!Ptrng_noise.Source.block_room});
+    [max_int] when the flicker backend has no blocks. *)
+
+val block_pending : source -> bool
+(** Whether the next fill starts by synthesizing a spectral flicker
+    block ({!Ptrng_noise.Source.block_pending}). *)
+
+val sync_blocks : source -> source -> unit
+(** [sync_blocks s1 s2] synthesizes the pending spectral flicker blocks
+    of both sources now, in one section
+    ({!Ptrng_noise.Source.sync_blocks}); neither stream changes. *)
 
 val edges_of_periods : ?t0:float -> float array -> float array
 (** Cumulative rising-edge times: [n+1] instants starting at [t0]

@@ -42,6 +42,7 @@ type stream = {
   sc_fl2 : FA.t;
   sc_f1 : float;      (* nominal (unscaled) per-ring frequencies *)
   sc_f2 : float;
+  paired_blocks : bool;  (* both rings' flicker comes in spectral blocks *)
   mutable sc_pos : int;
 }
 
@@ -53,9 +54,11 @@ let stream ?flicker_block ?scenario rng pair =
   let scratch () =
     match scenario with Some _ -> FA.create sc_seg | None -> FA.create 0
   in
+  let s1 = Oscillator.source ?flicker_block rng1 pair.osc1 in
+  let s2 = Oscillator.source ?flicker_block rng2 pair.osc2 in
   {
-    s1 = Oscillator.source ?flicker_block rng1 pair.osc1;
-    s2 = Oscillator.source ?flicker_block rng2 pair.osc2;
+    s1;
+    s2;
     scen = scenario;
     sc_state = Scenario.state ();
     sc_th1 = scratch ();
@@ -64,6 +67,8 @@ let stream ?flicker_block ?scenario rng pair =
     sc_fl2 = scratch ();
     sc_f1 = pair.osc1.Oscillator.f0;
     sc_f2 = pair.osc2.Oscillator.f0;
+    paired_blocks =
+      Oscillator.block_room s1 <> max_int && Oscillator.block_room s2 <> max_int;
     sc_pos = 0;
   }
 
@@ -73,6 +78,10 @@ let position st =
   match st.scen with
   | Some _ -> st.sc_pos
   | None -> Oscillator.source_position st.s1
+
+(* Periods the next segment may span without entering a block the
+   block section has not synthesized. *)
+let block_room st = min (Oscillator.block_room st.s1) (Oscillator.block_room st.s2)
 
 (* One scheduled sample.  With the schedule at identity (all
    multipliers 1, no coupling, no tone) every factor below is exactly
@@ -92,6 +101,13 @@ let fill_scenario st scen ~p1 ~p2 ~len =
   let off = ref 0 in
   while !off < len do
     let seg = min sc_seg (len - !off) in
+    let seg =
+      if st.paired_blocks then begin
+        Oscillator.sync_blocks st.s1 st.s2;
+        min seg (block_room st)
+      end
+      else seg
+    in
     Oscillator.fill_components st.s1 ~len:seg ~thermal:st.sc_th1
       ~flicker:st.sc_fl1;
     Oscillator.fill_components st.s2 ~len:seg ~thermal:st.sc_th2
@@ -144,11 +160,33 @@ let skip st n =
   Oscillator.source_skip st.s2 n;
   st.sc_pos <- st.sc_pos + n
 
+(* The pair block section.  When both rings' flicker comes in spectral
+   blocks, a fill runs in segments that end at block boundaries, and
+   before each segment Oscillator.sync_blocks synthesizes whatever
+   blocks the segment enters on both rings in one 2-task pool section;
+   the segment then only copies.  Each block is a pure function of its
+   salted root and each source owns its scratch, so the outputs are the
+   same on any number of domains.  Cutting a fill changes no output
+   either: white, spectral and random-walk streams are exact under any
+   partition.  Pairs whose rings are not both spectral fill as one piece
+   per ring, so a Kasdin ring's overlap-add blocks stay where they
+   were. *)
 let fill st ~p1 ~p2 ~len =
   match st.scen with
+  | None when not st.paired_blocks ->
+    Oscillator.fill_periods_n st.s1 ~pos:0 ~len p1;
+    Oscillator.fill_periods_n st.s2 ~pos:0 ~len p2
   | None ->
-    Oscillator.fill_periods_n st.s1 ~len p1;
-    Oscillator.fill_periods_n st.s2 ~len p2
+    if len < 0 || len > FA.length p1 || len > FA.length p2 then
+      invalid_arg "Pair.fill: bad len";
+    let off = ref 0 in
+    while !off < len do
+      Oscillator.sync_blocks st.s1 st.s2;
+      let seg = min (len - !off) (block_room st) in
+      Oscillator.fill_periods_n st.s1 ~pos:!off ~len:seg p1;
+      Oscillator.fill_periods_n st.s2 ~pos:!off ~len:seg p2;
+      off := !off + seg
+    done
   | Some scen ->
     if len < 0 || len > FA.length p1 || len > FA.length p2 then
       invalid_arg "Pair.fill: bad len";
