@@ -195,24 +195,41 @@ let validate_report path report =
   ignore (number "extraction.results" extraction "b_th");
   ignore (number "extraction.results" extraction "sigma_th_ps");
   (* Parallel sections must report the dual-run timing fields and prove
-     the output did not depend on the domain count. *)
+     the output did not depend on the domain count.  fig7 and scenario
+     carry them from BENCH_6.json on; earlier snapshots lack them. *)
+  let check_dual name results =
+    let ctx = name ^ ".results" in
+    if not (number ctx results "wall_1_s" >= 0.0) then
+      fail "%s.wall_1_s negative" name;
+    if not (number ctx results "wall_par_s" >= 0.0) then
+      fail "%s.wall_par_s negative" name;
+    if not (number ctx results "speedup" > 0.0) then
+      fail "%s.speedup not positive" name;
+    if not (number ctx results "domains" >= 1.0) then
+      fail "%s.domains must be >= 1" name;
+    match Json.member "deterministic" results with
+    | Some (Json.Bool true) -> ()
+    | Some (Json.Bool false) -> fail "%s output depends on the domain count" name
+    | _ -> fail "%s.deterministic missing" name
+  in
+  List.iter
+    (fun name -> check_dual name (get name (find_section name) "results"))
+    [ "noise_synth"; "variance_curve" ];
   List.iter
     (fun name ->
-      let results = get name (find_section name) "results" in
-      let ctx = name ^ ".results" in
-      if not (number ctx results "wall_1_s" >= 0.0) then
-        fail "%s.wall_1_s negative" name;
-      if not (number ctx results "wall_par_s" >= 0.0) then
-        fail "%s.wall_par_s negative" name;
-      if not (number ctx results "speedup" > 0.0) then
-        fail "%s.speedup not positive" name;
-      if not (number ctx results "domains" >= 1.0) then
-        fail "%s.domains must be >= 1" name;
-      match Json.member "deterministic" results with
-      | Some (Json.Bool true) -> ()
-      | Some (Json.Bool false) -> fail "%s output depends on the domain count" name
-      | _ -> fail "%s.deterministic missing" name)
-    [ "noise_synth"; "variance_curve" ];
+      match List.find_opt (fun s -> Json.member "name" s = Some (Json.String name)) sections with
+      | None -> ()
+      | Some s ->
+        let results = get name s "results" in
+        if Json.member "wall_1_s" results <> None then begin
+          check_dual name results;
+          List.iter
+            (fun key ->
+              if not (number (name ^ ".results") results key > 0.0) then
+                fail "%s.%s not positive" name key)
+            [ "periods_per_s_1"; "periods_per_s_par" ]
+        end)
+    [ "fig7"; "scenario" ];
   (* The telemetry snapshot must show the accumulation actually ran. *)
   let metrics = get "report" report "metrics" in
   let periods = number "metrics" metrics "ptrng_measure_periods_accumulated_total" in

@@ -61,16 +61,17 @@ let perfetto_out =
 
 (* --domains N overrides PTRNG_DOMAINS / the recommended count for
    every parallel section (results are bit-identical either way). *)
-let () =
-  Array.iteri
-    (fun i a ->
-      if a = "--domains" && i + 1 < Array.length Sys.argv then
-        match int_of_string_opt Sys.argv.(i + 1) with
-        | Some d -> Ptrng_exec.Pool.set_default (Some d)
-        | None ->
-          Printf.eprintf "bench: --domains expects an integer\n";
-          exit 2)
-    Sys.argv
+let cli_domains =
+  match flag_value "--domains" "" with
+  | "" -> None
+  | v -> (
+    match int_of_string_opt v with
+    | Some d -> Some d
+    | None ->
+      Printf.eprintf "bench: --domains expects an integer\n";
+      exit 2)
+
+let () = Ptrng_exec.Pool.set_default cli_domains
 
 let pool_domains = Ptrng_exec.Pool.available ()
 
@@ -102,16 +103,88 @@ let run_section name f =
       push ())
 
 (* ------------------------------------------------------------------ *)
+(* Parallel sections: wall time at 1 domain vs the pool, same seeds    *)
+(* ------------------------------------------------------------------ *)
+
+let timed f =
+  let t = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t)
+
+(* Run [work d] at 1 domain and at [pool_domains] (same seed inside
+   [work], so the outputs must be bit-identical) and report the usual
+   speedup key-values, plus each run's periods/s for a section that
+   simulates [periods] periods per run.  [equal] checks the
+   bit-identity claim. *)
+let dual_run ?periods ~equal work =
+  let r1, wall_1 = timed (fun () -> work 1) in
+  let rp, wall_par = timed (fun () -> work pool_domains) in
+  let deterministic = equal r1 rp in
+  let speedup = wall_1 /. Float.max 1e-9 wall_par in
+  Printf.printf
+    "1 domain: %.3f s   %d domains: %.3f s   speedup %.2fx   bit-identical: %s\n"
+    wall_1 pool_domains wall_par speedup
+    (if deterministic then "yes" else "NO");
+  let rates =
+    match periods with
+    | None -> []
+    | Some p ->
+      let rate wall = Tm.Json.num (float_of_int p /. Float.max 1e-9 wall) in
+      [ ("periods_per_s_1", rate wall_1); ("periods_per_s_par", rate wall_par) ]
+  in
+  ( rp,
+    [
+      ("domains", Tm.Json.Int pool_domains);
+      ("wall_1_s", Tm.Json.num wall_1);
+      ("wall_par_s", Tm.Json.num wall_par);
+      ("speedup", Tm.Json.num speedup);
+      ("deterministic", Tm.Json.Bool deterministic);
+    ]
+    @ rates )
+
+(* ------------------------------------------------------------------ *)
 (* FIG7 + RN + THERMAL: the central experiment                        *)
 (* ------------------------------------------------------------------ *)
+
+(* Every float of a characterization as its IEEE bit pattern, so the
+   1-domain and pool runs can be compared exactly (nan fields included). *)
+let analysis_bits (a : Ptrng_model.Multilevel.analysis) =
+  let b = Buffer.create 4096 in
+  let add x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  let curve =
+    Array.iter (fun (p : Ptrng_measure.Variance_curve.point) ->
+        Buffer.add_string b (string_of_int p.n);
+        List.iter add [ p.sigma2; p.scaled; p.stderr ])
+  in
+  let fit (f : Ptrng_measure.Fit.t) =
+    List.iter add [ f.a; f.b; f.c; f.d; f.a_se; f.b_se; f.c_se; f.d_se; f.chi2 ]
+  in
+  curve a.ideal_curve;
+  curve a.counter_curve;
+  fit a.fit;
+  Option.iter fit a.counter_fit;
+  add (fst a.growth_exponent);
+  add (snd a.growth_exponent);
+  Buffer.contents b
+
+(* Run [f] with every pool section at [d] domains, then restore the
+   command-line default. *)
+let at_domains d f =
+  Ptrng_exec.Pool.set_default (Some d);
+  Fun.protect ~finally:(fun () -> Ptrng_exec.Pool.set_default cli_domains) f
 
 let section_fig7 () =
   banner
     (Printf.sprintf "FIG7 — f0^2 sigma_N^2 vs N (2^%d simulated periods)" log2_periods);
-  let rng = Ptrng_prng.Rng.create ~seed:2014L () in
-  let analysis =
-    Ptrng_model.Multilevel.characterize ~n_periods:(1 lsl log2_periods) ~rng
-      (Ptrng_osc.Pair.paper_pair ())
+  let n_periods = 1 lsl log2_periods in
+  let analysis, dual =
+    dual_run ~periods:n_periods
+      ~equal:(fun a b -> analysis_bits a = analysis_bits b)
+      (fun d ->
+        at_domains d (fun () ->
+            let rng = Ptrng_prng.Rng.create ~seed:2014L () in
+            Ptrng_model.Multilevel.characterize ~n_periods ~rng
+              (Ptrng_osc.Pair.paper_pair ())))
   in
   let counter_at n =
     Array.fold_left
@@ -135,13 +208,16 @@ let section_fig7 () =
     analysis.ideal_curve;
   let slope, se = analysis.growth_exponent in
   Printf.printf "growth exponent %.3f +- %.3f (independence = 1, flicker = 2)\n" slope se;
-  analysis
+  (analysis, dual)
 
-let fig7_kv (analysis : Ptrng_model.Multilevel.analysis) =
+(* [periods] counts both runs of the dual run, so the section's
+   periods_per_sec and bytes per period cover all the work it timed. *)
+let fig7_kv ((analysis : Ptrng_model.Multilevel.analysis), dual) =
   let fit = analysis.fit in
   let slope, slope_se = analysis.growth_exponent in
-  [
-    ("periods", Tm.Json.Int analysis.n_periods);
+  dual
+  @ [
+    ("periods", Tm.Json.Int (2 * analysis.n_periods));
     ("fit_a", Tm.Json.num fit.a);
     ("fit_a_se", Tm.Json.num fit.a_se);
     ("fit_b", Tm.Json.num fit.b);
@@ -362,36 +438,6 @@ let section_restart () =
     ("growth_exponent", Tm.Json.num exponent);
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Parallel sections: wall time at 1 domain vs the pool, same seeds    *)
-(* ------------------------------------------------------------------ *)
-
-let timed f =
-  let t = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t)
-
-(* Run [work d] at 1 domain and at [pool_domains] (same seed inside
-   [work], so the outputs must be bit-identical) and report the usual
-   speedup key-values.  [equal] checks the bit-identity claim. *)
-let dual_run ~equal work =
-  let r1, wall_1 = timed (fun () -> work 1) in
-  let rp, wall_par = timed (fun () -> work pool_domains) in
-  let deterministic = equal r1 rp in
-  let speedup = wall_1 /. Float.max 1e-9 wall_par in
-  Printf.printf
-    "1 domain: %.3f s   %d domains: %.3f s   speedup %.2fx   bit-identical: %s\n"
-    wall_1 pool_domains wall_par speedup
-    (if deterministic then "yes" else "NO");
-  ( rp,
-    [
-      ("domains", Tm.Json.Int pool_domains);
-      ("wall_1_s", Tm.Json.num wall_1);
-      ("wall_par_s", Tm.Json.num wall_par);
-      ("speedup", Tm.Json.num speedup);
-      ("deterministic", Tm.Json.Bool deterministic);
-    ] )
-
 let section_noise_synth () =
   banner
     (Printf.sprintf "NOISE-SYNTH — bulk 1/f block synthesis (%d domains vs 1)"
@@ -561,7 +607,14 @@ let section_scenario () =
       ]
     else List.filter_map S.Registry.find [ "thermal-quench"; "lock-burst" ]
   in
-  let results = List.map (fun e -> S.Runner.run ~seed:2014 e) entries in
+  let per_run = List.fold_left (fun acc e -> acc + e.S.Registry.periods) 0 entries in
+  let report rs = Tm.Json.to_string (S.Runner.report_json ~seed:2014 rs) in
+  let results, dual =
+    dual_run ~periods:per_run
+      ~equal:(fun a b -> report a = report b)
+      (fun d ->
+        at_domains d (fun () -> List.map (fun e -> S.Runner.run ~seed:2014 e) entries))
+  in
   Printf.printf "%-16s %-14s %8s %8s %6s %10s\n" "scenario" "detector"
     "lat[win]" "false" "recov" "final";
   List.iter
@@ -577,9 +630,7 @@ let section_scenario () =
         (if d.D.recovered <> None then "yes" else "no")
         (Ptrng_monitor.Verdict.status_string r.final_status))
     results;
-  let total_periods =
-    List.fold_left (fun acc (r : S.Runner.result) -> acc + r.periods) 0 results
-  in
+
   let count p = List.length (List.filter p results) in
   let detected = count (fun r -> r.S.Runner.detection.D.detected <> None) in
   let recovered = count (fun r -> r.S.Runner.detection.D.recovered <> None) in
@@ -596,8 +647,10 @@ let section_scenario () =
         | None -> acc)
       0 results
   in
-  [
-    ("periods", Tm.Json.Int total_periods);
+  (* Both runs of the dual run, as in fig7. *)
+  dual
+  @ [
+    ("periods", Tm.Json.Int (2 * per_run));
     ("scenarios", Tm.Json.Int (List.length results));
     ("detected", Tm.Json.Int detected);
     ("recovered", Tm.Json.Int recovered);
@@ -935,7 +988,7 @@ let () =
   let analysis = ref None in
   run_section "fig7" (fun () ->
       let a = section_fig7 () in
-      analysis := Some a;
+      analysis := Some (fst a);
       fig7_kv a);
   run_section "extraction" (fun () ->
       section_extraction (Option.get !analysis));
