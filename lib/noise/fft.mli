@@ -19,12 +19,9 @@ type twiddles
     and is overwritten by every transform, so two domains must never
     share one. *)
 
-val twiddles : ?max_half:int -> int -> twiddles
+val twiddles : int -> twiddles
 (** [twiddles n] allocates the table for transforms of length up to
-    [n]: [min (n/2) max_half] entries per component, [max_half]
-    defaulting to 4096 (64 KiB for both components).  [~max_half:0]
-    gives an empty table, which runs every stage grouped.
-    @raise Invalid_argument if [max_half < 0]. *)
+    [n]: [min (n/2) 4096] entries per component, 64 KiB at most. *)
 
 val forward : twiddles -> re:Float.Array.t -> im:Float.Array.t -> unit
 (** In-place forward DFT of a power-of-two complex buffer pair.

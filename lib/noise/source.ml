@@ -18,8 +18,8 @@
      length.
    - Spectral: the stream is a sequence of fixed-size synthesized
      blocks; block b is rebuilt on demand from a salted per-block root
-     into scratch the source holds from creation, so random access
-     (skip) costs at most one block synthesis and no allocation. *)
+     into scratch the source allocates with its first block, so random
+     access (skip) costs at most one block synthesis. *)
 
 module Pool = Ptrng_exec.Pool
 module Rng = Ptrng_prng.Rng
@@ -287,7 +287,7 @@ let fill_range t dst ~pos ~len =
       let take = min (stop - t.pos) (st.s_block - off) in
       (match st.blk with
       | Some blk -> FA.blit (Spectral_synth.samples blk) off dst !i take
-      | None -> ());
+      | None -> assert false (* sync_blocks allocated it *));
       i := !i + take;
       t.pos <- t.pos + take
     done);

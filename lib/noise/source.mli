@@ -98,11 +98,6 @@ val block_room : t -> int
 (** Samples from the current position to the end of its spectral
     block; [max_int] for the other backends, which have no blocks. *)
 
-val block_pending : t -> bool
-(** Whether the next {!fill} of a spectral source starts by
-    synthesizing the block at the current position; always [false]
-    for the other backends. *)
-
 val sync_blocks : t -> t -> unit
 (** [sync_blocks a b] is the block section, where every spectral block
     is synthesized: it synthesizes the block at the current position of

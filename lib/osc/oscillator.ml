@@ -170,9 +170,6 @@ let source_position src = src.s_pos
 let block_room src =
   match src.flicker with Some fl -> Source.block_room fl | None -> max_int
 
-let block_pending src =
-  match src.flicker with Some fl -> Source.block_pending fl | None -> false
-
 let sync_blocks s1 s2 =
   match s1.flicker with
   | Some f1 -> (

@@ -114,10 +114,6 @@ val block_room : source -> int
     source's spectral block ({!Ptrng_noise.Source.block_room});
     [max_int] when the flicker backend has no blocks. *)
 
-val block_pending : source -> bool
-(** Whether the next fill starts by synthesizing a spectral flicker
-    block ({!Ptrng_noise.Source.block_pending}). *)
-
 val sync_blocks : source -> source -> unit
 (** [sync_blocks s1 s2] synthesizes the pending spectral flicker blocks
     of both sources now, in one section

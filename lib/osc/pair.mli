@@ -68,8 +68,8 @@ val stream :
     u, v and frequency ratio r), coupling pulls both rings toward
     their common mean, and the injected tone adds deterministic jitter
     to the sampled ring.  The identity schedule is bit-identical to
-    the plain stream, and the whole path draws single-threaded from
-    the two split sources, so scheduled fills are bit-identical for
+    the plain stream, and the schedule is a pure function of the
+    absolute period index, so scheduled fills are bit-identical for
     every domain count and chunk partitioning. *)
 
 val sources : stream -> Oscillator.source * Oscillator.source
@@ -92,7 +92,12 @@ val skip : stream -> int -> unit
 
 val fill : stream -> p1:Float.Array.t -> p2:Float.Array.t -> len:int -> unit
 (** [fill st ~p1 ~p2 ~len] writes the next [len] periods of each
-    oscillator into the caller's buffers.
+    oscillator into the caller's buffers.  When both rings' flicker
+    is spectral, the fill runs in segments that end at block
+    boundaries, and both rings' next blocks are synthesized together
+    before a segment enters them, in one 2-task pool section
+    ({!Oscillator.sync_blocks}); the periods are the same at any
+    domain count.
     @raise Invalid_argument if [len] exceeds either buffer, or under a
     scenario if a ring has random-walk FM (see
     {!Oscillator.fill_components}). *)
