@@ -217,7 +217,11 @@ let validate_report path report =
     [ "noise_synth"; "variance_curve" ];
   List.iter
     (fun name ->
-      match List.find_opt (fun s -> Json.member "name" s = Some (Json.String name)) sections with
+      match
+        List.find_opt
+          (fun s -> Json.member "name" s = Some (Json.String name))
+          sections
+      with
       | None -> ()
       | Some s ->
         let results = get name s "results" in

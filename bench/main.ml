@@ -630,7 +630,6 @@ let section_scenario () =
         (if d.D.recovered <> None then "yes" else "no")
         (Ptrng_monitor.Verdict.status_string r.final_status))
     results;
-
   let count p = List.length (List.filter p results) in
   let detected = count (fun r -> r.S.Runner.detection.D.detected <> None) in
   let recovered = count (fun r -> r.S.Runner.detection.D.recovered <> None) in
