@@ -233,6 +233,9 @@ let synthesize t =
         blk
     in
     let b = t.pos / st.s_block in
+    (* No block is held while the scratch is half written: if the
+       synthesis raises, the next fill synthesizes again. *)
+    st.block_index <- -1;
     Spectral_synth.fill_block blk ~backend:t.backend
       ~root:(spectral_block_root ~root:t.root b)
       ~psd:st.s_psd ~fs:st.s_fs;

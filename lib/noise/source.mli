@@ -61,9 +61,10 @@ val spectral : ?block:int -> psd:(float -> float) -> fs:float -> unit -> config
     root, making {!skip} O(1) until the next fill.  Statistics probing
     lags beyond ~[block]/8 feel the per-block periodicity — pick
     [block] comfortably above the longest correlation studied.  The
-    source holds one block of synthesis scratch
+    source allocates one block of synthesis scratch
     ({!Spectral_synth.block}: two [block]-float buffers plus draw and
-    twiddle scratch) from {!create} on.
+    twiddle scratch) with its first block and holds it for the rest of
+    its life.
     @raise Invalid_argument if [block] is not a power of two or
     [fs <= 0]. *)
 

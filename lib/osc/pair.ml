@@ -80,8 +80,12 @@ let position st =
   | None -> Oscillator.source_position st.s1
 
 (* Periods the next segment may span without entering a block the
-   block section has not synthesized. *)
-let block_room st = min (Oscillator.block_room st.s1) (Oscillator.block_room st.s2)
+   block section has not synthesized.  Unbounded unless both rings are
+   spectral, so such pairs fill in one piece per ring. *)
+let block_room st =
+  if st.paired_blocks then
+    min (Oscillator.block_room st.s1) (Oscillator.block_room st.s2)
+  else max_int
 
 (* One scheduled sample.  With the schedule at identity (all
    multipliers 1, no coupling, no tone) every factor below is exactly
@@ -100,14 +104,8 @@ let fill_scenario st scen ~p1 ~p2 ~len =
   let f1n = st.sc_f1 and f2n = st.sc_f2 in
   let off = ref 0 in
   while !off < len do
-    let seg = min sc_seg (len - !off) in
-    let seg =
-      if st.paired_blocks then begin
-        Oscillator.sync_blocks st.s1 st.s2;
-        min seg (block_room st)
-      end
-      else seg
-    in
+    Oscillator.sync_blocks st.s1 st.s2;
+    let seg = min (min sc_seg (len - !off)) (block_room st) in
     Oscillator.fill_components st.s1 ~len:seg ~thermal:st.sc_th1
       ~flicker:st.sc_fl1;
     Oscillator.fill_components st.s2 ~len:seg ~thermal:st.sc_th2
@@ -168,17 +166,14 @@ let skip st n =
    salted root and each source owns its scratch, so the outputs are the
    same on any number of domains.  Cutting a fill changes no output
    either: white, spectral and random-walk streams are exact under any
-   partition.  Pairs whose rings are not both spectral fill as one piece
-   per ring, so a Kasdin ring's overlap-add blocks stay where they
-   were. *)
+   partition.  Pairs whose rings are not both spectral have unbounded
+   block_room, so they fill in one piece per ring and a Kasdin
+   ring's overlap-add blocks stay where they were. *)
 let fill st ~p1 ~p2 ~len =
+  if len < 0 || len > FA.length p1 || len > FA.length p2 then
+    invalid_arg "Pair.fill: bad len";
   match st.scen with
-  | None when not st.paired_blocks ->
-    Oscillator.fill_periods_n st.s1 ~pos:0 ~len p1;
-    Oscillator.fill_periods_n st.s2 ~pos:0 ~len p2
   | None ->
-    if len < 0 || len > FA.length p1 || len > FA.length p2 then
-      invalid_arg "Pair.fill: bad len";
     let off = ref 0 in
     while !off < len do
       Oscillator.sync_blocks st.s1 st.s2;
@@ -187,10 +182,7 @@ let fill st ~p1 ~p2 ~len =
       Oscillator.fill_periods_n st.s2 ~pos:!off ~len:seg p2;
       off := !off + seg
     done
-  | Some scen ->
-    if len < 0 || len > FA.length p1 || len > FA.length p2 then
-      invalid_arg "Pair.fill: bad len";
-    fill_scenario st scen ~p1 ~p2 ~len
+  | Some scen -> fill_scenario st scen ~p1 ~p2 ~len
 
 (* A whole trace is the stream read with [flicker_block = n], staged
    through fixed segments like Oscillator.periods. *)

@@ -98,6 +98,6 @@ val fill : stream -> p1:Float.Array.t -> p2:Float.Array.t -> len:int -> unit
     before a segment enters them, in one 2-task pool section
     ({!Oscillator.sync_blocks}); the periods are the same at any
     domain count.
-    @raise Invalid_argument if [len] exceeds either buffer, or under a
-    scenario if a ring has random-walk FM (see
+    @raise Invalid_argument if [len] is negative or exceeds either
+    buffer, or under a scenario if a ring has random-walk FM (see
     {!Oscillator.fill_components}). *)
