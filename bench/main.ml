@@ -115,9 +115,15 @@ let timed f =
    [work], so the outputs must be bit-identical) and report the usual
    speedup key-values, plus each run's periods/s for a section that
    simulates [periods] periods per run.  [equal] checks the
-   bit-identity claim. *)
+   bit-identity claim.  Such a section also reports the bytes per
+   period of the 1-domain run: Gc.allocated_bytes counts the calling
+   domain only, and at 1 domain every task runs there, so unlike the
+   section's own alloc_bytes this figure does not depend on which
+   domain ran what. *)
 let dual_run ?periods ~equal work =
+  let a0 = Tm.Clock.allocated_bytes () in
   let r1, wall_1 = timed (fun () -> work 1) in
+  let alloc_1 = Tm.Clock.allocated_bytes () -. a0 in
   let rp, wall_par = timed (fun () -> work pool_domains) in
   let deterministic = equal r1 rp in
   let speedup = wall_1 /. Float.max 1e-9 wall_par in
@@ -130,7 +136,11 @@ let dual_run ?periods ~equal work =
     | None -> []
     | Some p ->
       let rate wall = Tm.Json.num (float_of_int p /. Float.max 1e-9 wall) in
-      [ ("periods_per_s_1", rate wall_1); ("periods_per_s_par", rate wall_par) ]
+      [
+        ("periods_per_s_1", rate wall_1);
+        ("periods_per_s_par", rate wall_par);
+        ("bytes_per_period_1", Tm.Json.num (alloc_1 /. float_of_int p));
+      ]
   in
   ( rp,
     [
