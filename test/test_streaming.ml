@@ -142,6 +142,32 @@ let spectral_tests =
             same := false
         done;
         Testkit.check_false "blocks differ" !same);
+    Testkit.case "a failed synthesis leaves no stale block" (fun () ->
+        (* The psd raises partway through block 1, after it has
+           overwritten part of the held scratch; a later fill of block
+           0 must resynthesize it rather than serve that scratch. *)
+        let armed = ref false and calls = ref 0 in
+        let psd f =
+          if !armed then begin
+            incr calls;
+            if !calls > 100 then failwith "psd"
+          end;
+          1.0 /. f
+        in
+        let src =
+          Source.create (Source.spectral ~block:1024 ~psd ~fs:1e6 ())
+            (Testkit.rng ~seed:9L ())
+        in
+        let first = FA.create 1024 and out = FA.create 1024 in
+        Source.fill src first;
+        armed := true;
+        (match Source.fill_range src out ~pos:0 ~len:10 with
+        | () -> Alcotest.fail "the psd did not raise"
+        | exception Failure _ -> ());
+        armed := false;
+        Source.reset src;
+        Source.fill src out;
+        check_fa_eq "block 0" (Array.init 1024 (FA.get first)) out);
   ]
 
 let kasdin_tests =
