@@ -68,6 +68,7 @@ let default_manifest =
         "Ptrng_monitor.Flight_recorder.record_window";
         "Ptrng_monitor.Flight_recorder.record_transition";
         "Ptrng_monitor.Flight_recorder.tick_window";
+        "Ptrng_model.Entropy.midpoint_terms";
       ];
     cuts =
       [

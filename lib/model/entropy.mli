@@ -23,7 +23,15 @@ val shannon : float -> float
 
 val avg_entropy : phase_std:float -> float
 (** Shannon entropy per bit averaged over a uniformly drifting mean
-    phase — the standard assumption for free-running rings. *)
+    phase — the standard assumption for free-running rings.
+
+    The 2048 midpoint terms are computed by an allocation-free kernel
+    (on the R7 hot-path manifest) in a 2-task pool section, one task
+    per half, and summed in index order afterwards: the result is
+    bit-identical at any domain count.  A call from inside a pool
+    worker, and the cheap Fourier branch ([phase_std >= 3]), run
+    sequentially.  One call allocates the term array and a small
+    scratch per task, nothing per term. *)
 
 val min_entropy : phase_std:float -> float
 (** Worst-case (min-)entropy: [-log2 p_max], with [p_max] attained at

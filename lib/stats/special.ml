@@ -30,72 +30,108 @@ let rec log_gamma x =
     (0.5 *. log (2.0 *. Float.pi)) +. ((x +. 0.5) *. log t) -. t +. log !acc
   end
 
-(* Series representation of P(a,x), converges fast for x < a + 1. *)
-let gamma_p_series ~a ~x =
-  let eps = 1e-15 in
-  let rec loop n term sum =
-    if Float.abs term < Float.abs sum *. eps || n > 1000 then sum
-    else begin
-      let term = term *. x /. (a +. float_of_int n) in
-      loop (n + 1) term (sum +. term)
-    end
-  in
-  let first = 1.0 /. a in
-  let sum = loop 1 first first in
-  sum *. exp ((a *. log x) -. x -. log_gamma a)
+(* log Gamma(1/2), for erf and erfc: the same Lanczos sum evaluated
+   once instead of on every call. *)
+let log_gamma_half = log_gamma 0.5
 
-(* Lentz continued fraction for Q(a,x), converges fast for x >= a + 1. *)
-let gamma_q_cf ~a ~x =
-  let eps = 1e-15 and tiny = 1e-300 in
-  let b = ref (x +. 1.0 -. a) in
-  let c = ref (1.0 /. tiny) in
-  let d = ref (1.0 /. !b) in
-  let h = ref !d in
-  (try
-     for i = 1 to 1000 do
-       let an = -.float_of_int i *. (float_of_int i -. a) in
-       b := !b +. 2.0;
-       d := (an *. !d) +. !b;
-       if Float.abs !d < tiny then d := tiny;
-       c := !b +. (an /. !c);
-       if Float.abs !c < tiny then c := tiny;
-       d := 1.0 /. !d;
-       let delta = !d *. !c in
-       h := !h *. delta;
-       if Float.abs (delta -. 1.0) < eps then raise Exit
-     done
-   with Exit -> ());
-  !h *. exp ((a *. log x) -. x -. log_gamma a)
+(* The two kernels below take [lga = log_gamma a] from the caller and
+   keep every float in an eliminated [ref], so an inlined call boxes
+   nothing. *)
+
+(* Series representation of P(a,x), converges fast for x < a + 1. *)
+let[@inline] gamma_p_series ~a ~x ~lga =
+  let eps = 1e-15 in
+  let term = ref (1.0 /. a) in
+  let sum = ref !term in
+  let n = ref 1 in
+  while not (Float.abs !term < Float.abs !sum *. eps || !n > 1000) do
+    term := !term *. x /. (a +. float_of_int !n);
+    sum := !sum +. !term;
+    incr n
+  done;
+  !sum *. exp ((a *. log x) -. x -. lga)
+
+(* Lentz continued fraction for Q(a,x), converges fast for x >= a + 1.
+   Q(a, +inf) = 0 exactly; the fraction itself would meet inf - inf. *)
+let[@inline] gamma_q_cf ~a ~x ~lga =
+  if x = Float.infinity then 0.0
+  else begin
+    let eps = 1e-15 and tiny = 1e-300 in
+    let b = ref (x +. 1.0 -. a) in
+    let c = ref (1.0 /. tiny) in
+    let d = ref (1.0 /. !b) in
+    let h = ref !d in
+    let i = ref 1 in
+    while !i <= 1000 do
+      let an = -.float_of_int !i *. (float_of_int !i -. a) in
+      b := !b +. 2.0;
+      d := (an *. !d) +. !b;
+      if Float.abs !d < tiny then d := tiny;
+      c := !b +. (an /. !c);
+      if Float.abs !c < tiny then c := tiny;
+      d := 1.0 /. !d;
+      let delta = !d *. !c in
+      h := !h *. delta;
+      if Float.abs (delta -. 1.0) < eps then i := 1001 else incr i
+    done;
+    !h *. exp ((a *. log x) -. x -. lga)
+  end
 
 let gamma_p ~a ~x =
   if a <= 0.0 then invalid_arg "Special.gamma_p: a <= 0";
   if x < 0.0 then invalid_arg "Special.gamma_p: x < 0";
   if x = 0.0 then 0.0
-  else if x < a +. 1.0 then gamma_p_series ~a ~x
-  else 1.0 -. gamma_q_cf ~a ~x
+  else begin
+    let lga = log_gamma a in
+    if x < a +. 1.0 then gamma_p_series ~a ~x ~lga
+    else 1.0 -. gamma_q_cf ~a ~x ~lga
+  end
 
 let gamma_q ~a ~x =
   if a <= 0.0 then invalid_arg "Special.gamma_q: a <= 0";
   if x < 0.0 then invalid_arg "Special.gamma_q: x < 0";
   if x = 0.0 then 1.0
-  else if x < a +. 1.0 then 1.0 -. gamma_p_series ~a ~x
-  else gamma_q_cf ~a ~x
+  else begin
+    let lga = log_gamma a in
+    if x < a +. 1.0 then 1.0 -. gamma_p_series ~a ~x ~lga
+    else gamma_q_cf ~a ~x ~lga
+  end
 
+(* erf x = sign(x) P(1/2, x^2) and erfc x = Q(1/2, x^2) for x >= 0,
+   through gamma_p/gamma_q's own branches at a = 1/2 (series below
+   x^2 = a + 1 = 1.5). *)
 let erf x =
   if x = 0.0 then 0.0
   else begin
-    let p = gamma_p ~a:0.5 ~x:(x *. x) in
+    let x2 = x *. x in
+    let p =
+      if x2 = 0.0 then 0.0
+      else if x2 < 1.5 then gamma_p_series ~a:0.5 ~x:x2 ~lga:log_gamma_half
+      else 1.0 -. gamma_q_cf ~a:0.5 ~x:x2 ~lga:log_gamma_half
+    in
     if x > 0.0 then p else -.p
   end
 
-let erfc_pos x = if x = 0.0 then 1.0 else gamma_q ~a:0.5 ~x:(x *. x)
+let[@inline] erfc_pos x =
+  if x = 0.0 then 1.0
+  else begin
+    let x2 = x *. x in
+    if x2 = 0.0 then 1.0
+    else if x2 < 1.5 then 1.0 -. gamma_p_series ~a:0.5 ~x:x2 ~lga:log_gamma_half
+    else gamma_q_cf ~a:0.5 ~x:x2 ~lga:log_gamma_half
+  end
 
-let erfc x = if x < 0.0 then 2.0 -. erfc_pos (-.x) else erfc_pos x
+let[@inline] erfc x = if x < 0.0 then 2.0 -. erfc_pos (-.x) else erfc_pos x
 
 let sqrt2 = sqrt 2.0
 
-let normal_cdf x = 0.5 *. erfc (-.x /. sqrt2)
-let normal_sf x = 0.5 *. erfc (x /. sqrt2)
+let[@inline] normal_cdf x = 0.5 *. erfc (-.x /. sqrt2)
+let[@inline] normal_sf x = 0.5 *. erfc (x /. sqrt2)
+
+let normal_cdf_in_place buf ~len =
+  for i = 0 to len - 1 do
+    Float.Array.set buf i (normal_cdf (Float.Array.get buf i))
+  done
 
 (* Acklam's rational approximation to the normal quantile, then one
    step of Halley refinement using the exact CDF above. *)

@@ -1,6 +1,19 @@
 (** Special functions needed by the statistical machinery: log-gamma
     (Lanczos), regularised incomplete gamma (series + continued
-    fraction), the error function, and inverses. *)
+    fraction), the error function, and inverses.
+
+    No-allocation contract: the series and continued-fraction kernels
+    and the [erfc] -> [normal_cdf] / [normal_sf] chain are [[@inline]]
+    loops over unboxed locals, so inside this module they box nothing;
+    {!normal_cdf_in_place} carries that to callers in other modules,
+    which would otherwise box each float argument and result.  The
+    hot-path lint (R7) proves it from [Ptrng_model.Entropy]'s midpoint
+    kernel.
+
+    Non-finite arguments give the exact limits: [erfc (+inf) = 0],
+    [erfc (-inf) = 2], [erf (+/-inf) = +/-1], [normal_cdf (+inf) = 1],
+    [normal_cdf (-inf) = 0], [Q(a, +inf) = 0], [P(a, +inf) = 1]; a NaN
+    argument gives NaN. *)
 
 val log_gamma : float -> float
 (** Natural log of the Gamma function for x > 0. *)
@@ -22,6 +35,12 @@ val normal_cdf : float -> float
 
 val normal_sf : float -> float
 (** Standard normal survival function, accurate in the upper tail. *)
+
+val normal_cdf_in_place : Float.Array.t -> len:int -> unit
+(** [normal_cdf_in_place buf ~len] replaces [buf.(i)] by
+    [normal_cdf buf.(i)] for [i < len], bit-identical to the scalar
+    call and allocation-free: no float crosses a call boundary.
+    @raise Invalid_argument if [len] exceeds the buffer. *)
 
 val normal_ppf : float -> float
 (** Inverse standard normal CDF (Acklam's rational approximation with a

@@ -68,6 +68,13 @@ let histogram_tests =
           (fun () -> ignore (Histogram.make ~bins:4 ~range:(1.0, 1.0) [| 1.0 |])));
   ]
 
+(* [f x] must be exactly [expected] at every x. *)
+let limit_case name expected f xs =
+  Testkit.case name (fun () ->
+      List.iter
+        (fun x -> Alcotest.(check (float 0.0)) (Printf.sprintf "at %h" x) expected (f x))
+        xs)
+
 let special_tests =
   [
     Testkit.case "log_gamma at integers and half-integers" (fun () ->
@@ -118,6 +125,45 @@ let special_tests =
           (Special.chi2_cdf ~df:2.0 2.0);
         Testkit.check_rel ~tol:1e-4 "df=1 95pc" 0.05
           (Special.chi2_sf ~df:1.0 3.841458820694124));
+    (* Non-finite limits: at |x| >= ~1.35e154, x^2 overflows to +inf,
+       where the continued fraction used to meet inf - inf. *)
+    limit_case "erfc(+inf) = 0" 0.0 Special.erfc [ Float.infinity; 1e155; 1e200 ];
+    limit_case "erfc(-inf) = 2" 2.0 Special.erfc
+      [ Float.neg_infinity; -1e155; -1e200 ];
+    limit_case "erf(+inf) = 1" 1.0 Special.erf [ Float.infinity; 1e155; 1e200 ];
+    limit_case "erf(-inf) = -1" (-1.0) Special.erf
+      [ Float.neg_infinity; -1e155; -1e200 ];
+    limit_case "normal_cdf(+inf) = 1" 1.0 Special.normal_cdf
+      [ Float.infinity; 1e155; 1e200 ];
+    limit_case "normal_cdf(-inf) = 0" 0.0 Special.normal_cdf
+      [ Float.neg_infinity; -1e155; -1e200 ];
+    limit_case "normal_sf(+inf) = 0" 0.0 Special.normal_sf
+      [ Float.infinity; 1e155; 1e200 ];
+    limit_case "normal_sf(-inf) = 1" 1.0 Special.normal_sf
+      [ Float.neg_infinity; -1e155; -1e200 ];
+    limit_case "Q(a, +inf) = 0" 0.0
+      (fun a -> Special.gamma_q ~a ~x:Float.infinity)
+      [ 1e-3; 0.5; 1.0; 7.5; 1e3 ];
+    limit_case "P(a, +inf) = 1" 1.0
+      (fun a -> Special.gamma_p ~a ~x:Float.infinity)
+      [ 1e-3; 0.5; 1.0; 7.5; 1e3 ];
+    limit_case "chi2_sf(df, +inf) = 0" 0.0
+      (fun df -> Special.chi2_sf ~df Float.infinity)
+      [ 1.0; 2.0; 100.0 ];
+    limit_case "chi2_cdf(df, +inf) = 1" 1.0
+      (fun df -> Special.chi2_cdf ~df Float.infinity)
+      [ 1.0; 2.0; 100.0 ];
+    Testkit.case "NaN in, NaN out" (fun () ->
+        List.iter
+          (fun (name, f) -> Testkit.check_true name (Float.is_nan (f Float.nan)))
+          [
+            ("erf", Special.erf);
+            ("erfc", Special.erfc);
+            ("normal_cdf", Special.normal_cdf);
+            ("normal_sf", Special.normal_sf);
+            ("gamma_p", fun x -> Special.gamma_p ~a:2.0 ~x);
+            ("gamma_q", fun x -> Special.gamma_q ~a:2.0 ~x);
+          ]);
     Testkit.case "ks survival sanity" (fun () ->
         Testkit.check_rel ~tol:1e-12 "0" 1.0 (Special.ks_sf 0.0);
         Testkit.check_rel ~tol:1e-6 "1.0"
