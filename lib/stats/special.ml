@@ -121,7 +121,15 @@ let[@inline] erfc_pos x =
     else gamma_q_cf ~a:0.5 ~x:x2 ~lga:log_gamma_half
   end
 
-let[@inline] erfc x = if x < 0.0 then 2.0 -. erfc_pos (-.x) else erfc_pos x
+(* Saturated tails, returning the bits the full evaluation gives: for
+   x >= 27.5 the continued fraction's exp factor is below exp (-753)
+   and underflows to 0, and for x <= -6.4, erfc_pos (-x) < 1e-18 is
+   under half an ulp of 2, so 2 - it rounds to 2. *)
+let[@inline] erfc x =
+  if x >= 27.5 then 0.0
+  else if x <= -6.4 then 2.0
+  else if x < 0.0 then 2.0 -. erfc_pos (-.x)
+  else erfc_pos x
 
 let sqrt2 = sqrt 2.0
 

@@ -153,6 +153,24 @@ let special_tests =
     limit_case "chi2_cdf(df, +inf) = 1" 1.0
       (fun df -> Special.chi2_cdf ~df Float.infinity)
       [ 1.0; 2.0; 100.0 ];
+    Testkit.case "erfc's saturated tails match the full evaluation" (fun () ->
+        (* gamma_q at a = 1/2 runs the same continued fraction erfc
+           runs below its shortcuts. *)
+        let full x = Special.gamma_q ~a:0.5 ~x:(x *. x) in
+        let grid lo hi =
+          List.init 2001 (fun i -> lo +. ((hi -. lo) *. float_of_int i /. 2000.0))
+        in
+        List.iter
+          (fun x ->
+            Alcotest.(check (float 0.0)) (Printf.sprintf "upper %h" x) 0.0 (full x);
+            Alcotest.(check (float 0.0)) (Printf.sprintf "erfc %h" x) 0.0 (Special.erfc x))
+          ((Float.succ 27.5 :: grid 27.5 60.0) @ [ 1e10; 1e150 ]);
+        List.iter
+          (fun x ->
+            Alcotest.(check (float 0.0)) (Printf.sprintf "lower %h" x) 2.0
+              (2.0 -. full x);
+            Alcotest.(check (float 0.0)) (Printf.sprintf "erfc %h" x) 2.0 (Special.erfc x))
+          ((Float.pred (-6.4) :: grid (-60.0) (-6.4)) @ [ -1e10; -1e150 ]));
     Testkit.case "NaN in, NaN out" (fun () ->
         List.iter
           (fun (name, f) -> Testkit.check_true name (Float.is_nan (f Float.nan)))
