@@ -13,15 +13,19 @@ let create ?(bins = 256) ~drift ~diffusion () =
   if diffusion < 0.0 then invalid_arg "Phase_chain.create: negative diffusion";
   let width = two_pi /. float_of_int bins in
   let kernel = Array.make bins 0.0 in
-  (* Near-zero diffusion must take the point-mass branch: the wrapped
-     Gaussian underflows to an all-zero kernel (then 0/0) long before
-     diffusion reaches 0.0 exactly. *)
-  if Ptrng_stats.Float_cmp.near_zero diffusion then begin
+  let point_mass () =
     let d =
       int_of_float (Float.round (drift /. width)) mod bins
     in
     kernel.((d + bins) mod bins) <- 1.0
-  end
+  in
+  (* Near-zero diffusion must take the point-mass branch: the wrapped
+     Gaussian underflows to an all-zero kernel (then 0/0) long before
+     diffusion reaches 0.0 exactly.  Above the near-zero threshold it
+     still underflows at every bin centre when the diffusion is far
+     below the bin width (e.g. 1e-3 rad with 64 bins and the drift
+     between two centres); that kernel is a point mass too. *)
+  if Ptrng_stats.Float_cmp.near_zero diffusion then point_mass ()
   else begin
     (* Wrapped Gaussian, integrated per bin by the midpoint rule. *)
     let wraps = 2 + int_of_float (Float.ceil ((4.0 *. diffusion) /. two_pi)) in
@@ -35,7 +39,8 @@ let create ?(bins = 256) ~drift ~diffusion () =
       kernel.(d) <- !acc
     done;
     let total = Array.fold_left ( +. ) 0.0 kernel in
-    Array.iteri (fun d v -> kernel.(d) <- v /. total) kernel
+    if total > 0.0 then Array.iteri (fun d v -> kernel.(d) <- v /. total) kernel
+    else point_mass ()
   end;
   let high =
     Array.init bins (fun i ->

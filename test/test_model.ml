@@ -266,6 +266,14 @@ let phase_chain_tests =
         Array.iter
           (fun p -> Testkit.check_rel ~tol:1e-6 "uniform" (1.0 /. 64.0) p)
           pi_dist);
+    Testkit.case "diffusion far below the bin width is a point mass" (fun () ->
+        (* Every bin's wrapped Gaussian underflows: the kernel was 0/0. *)
+        List.iter
+          (fun (drift, diffusion) ->
+            let chain = Phase_chain.create ~bins:64 ~drift ~diffusion () in
+            Testkit.check_rel ~tol:1e-12 "mass" 1.0
+              (Array.fold_left ( +. ) 0.0 (Phase_chain.stationary chain)))
+          [ (0.05, 1e-3); (-2.9, 5e-4); (1.0, 1e-11) ]);
     Testkit.case "marginal bit probability is 1/2" (fun () ->
         let chain = Phase_chain.create ~drift:0.3 ~diffusion:0.8 () in
         Testkit.check_rel ~tol:1e-6 "fair" 0.5 (Phase_chain.marginal_bit_probability chain));
