@@ -91,8 +91,9 @@ let midpoint_terms ~phase_std ~cdf terms ~lo ~hi =
 (* Each half of the terms is one task of a 2-task section; the sum
    runs in index order afterwards, so the result does not depend on
    the domain count.  Inside a pool worker the section is sequential,
-   and so is the Fourier branch (phase_std >= 3), whose 2048 terms
-   cost less than the domain spawn. *)
+   and so is the Fourier branch (phase_std >= 3): its 2048 terms are
+   cheap enough that splitting them saves less than the domain spawn
+   costs. *)
 let avg_entropy ~phase_std =
   let terms = Float.Array.create steps in
   let half = steps / 2 in
